@@ -52,6 +52,7 @@ from .symcurve import (
     DimRelation,
     PoincarePolynomial,
     betti_closed,
+    compare_dimensions,
     dim_sym_of_cohomology,
     genus_obstruction_report,
     poincare_genus_zero,
@@ -86,6 +87,7 @@ __all__ = [
     "classify",
     "clebsch_gordan_decompose",
     "cohomology_character",
+    "compare_dimensions",
     "dim_sym_of_cohomology",
     "factor_tensor_of_irreps",
     "genus_obstruction_report",

@@ -19,7 +19,6 @@ import enum
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from .exactalg import LaurentPoly
@@ -85,7 +84,6 @@ def parse_partition(text: str) -> Partition:
     return Partition(tuple(parts))
 
 
-@lru_cache(maxsize=None)
 def cohomology_character(p: Partition) -> Character:
     """Character of H*(P^{n_1} x ... x P^{n_r}) as an sl(2)-module.
 
@@ -120,10 +118,10 @@ class ClassificationVerdict:
     reason: Reason
     partition1: Partition
     partition2: Partition
-    character1: Character | None
-    character2: Character | None
-    factorization1: IrrepMultiset | None
-    factorization2: IrrepMultiset | None
+    character1: Character | None = None
+    character2: Character | None = None
+    factorization1: IrrepMultiset | None = None
+    factorization2: IrrepMultiset | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -144,11 +142,6 @@ class ClassificationVerdict:
         }
 
 
-@lru_cache(maxsize=None)
-def _factored(c: Character) -> IrrepMultiset:
-    return factor_tensor_of_irreps(c)
-
-
 def classify(p1: Partition, p2: Partition) -> ClassificationVerdict:
     """Decide whether the two labeled multiprojective spaces are isomorphic.
 
@@ -162,43 +155,29 @@ def classify(p1: Partition, p2: Partition) -> ClassificationVerdict:
     """
     if p1.n != p2.n:
         return ClassificationVerdict(
-            verdict=Verdict.NON_ISOMORPHIC,
-            reason=Reason.DIMENSION_MISMATCH,
-            partition1=p1,
-            partition2=p2,
-            character1=None,
-            character2=None,
-            factorization1=None,
-            factorization2=None,
+            Verdict.NON_ISOMORPHIC, Reason.DIMENSION_MISMATCH, p1, p2
         )
     c1 = cohomology_character(p1)
     c2 = cohomology_character(p2)
-    f1 = _factored(c1)
-    f2 = _factored(c2)
+    f1 = factor_tensor_of_irreps(c1)
+    f2 = factor_tensor_of_irreps(c2)
     if f1.labels != p1.parts or f2.labels != p2.parts:
         raise RuntimeError(
             "tensor factorization failed to recover its own partition: "
             f"{p1} -> {f1}, {p2} -> {f2}"
         )
     if p1 == p2:
-        return ClassificationVerdict(
-            verdict=Verdict.ISOMORPHIC,
-            reason=Reason.SAME_PARTITION,
-            partition1=p1,
-            partition2=p2,
-            character1=c1,
-            character2=c2,
-            factorization1=f1,
-            factorization2=f2,
-        )
-    if c1 == c2:
+        verdict, reason = Verdict.ISOMORPHIC, Reason.SAME_PARTITION
+    elif c1 == c2:
         raise RuntimeError(
             f"distinct partitions {p1} and {p2} produced equal characters; "
             "this contradicts unique tensor factorization"
         )
+    else:
+        verdict, reason = Verdict.NON_ISOMORPHIC, Reason.DISTINCT_CHARACTERS
     return ClassificationVerdict(
-        verdict=Verdict.NON_ISOMORPHIC,
-        reason=Reason.DISTINCT_CHARACTERS,
+        verdict=verdict,
+        reason=reason,
         partition1=p1,
         partition2=p2,
         character1=c1,

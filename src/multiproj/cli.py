@@ -47,12 +47,10 @@ from .sl2rep import (
     tensor_character,
 )
 from .symcurve import (
-    DimRelation,
     betti_closed,
-    dim_sym_of_cohomology,
+    compare_dimensions,
     poincare_genus_zero,
     poincare_via_series,
-    total_dim_cohomology,
 )
 
 
@@ -179,9 +177,8 @@ def _cmd_dims(args: argparse.Namespace) -> int:
         raise _UsageError(
             f"--n must be >= 2 (the comparison is trivial below that), got {args.n}"
         )
-    total = total_dim_cohomology(args.genus, args.n)
-    sym = dim_sym_of_cohomology(args.genus, args.n)
-    relation = _relation(total, sym)
+    dims = compare_dimensions(args.genus, args.n)
+    total, sym, relation = dims.total_dim, dims.sym_dim, dims.relation.value
     if args.format == "json":
         _print_json(
             args,
@@ -202,14 +199,6 @@ def _cmd_dims(args: argparse.Namespace) -> int:
     else:
         _print(args, f"{total},{sym},{relation}")
     return 0
-
-
-def _relation(total: int, sym: int) -> str:
-    if total == sym:
-        return DimRelation.EQUAL.value
-    if total < sym:
-        return DimRelation.STRICTLY_LESS.value
-    return DimRelation.STRICTLY_GREATER.value
 
 
 # ------------------------------------------------------------------ factor
@@ -355,14 +344,15 @@ def _cmd_table(args: argparse.Namespace) -> int:
     for g in g_range:
         for n in n_range:
             pp = _poincare(g, n)
-            total = total_dim_cohomology(g, n)
-            if pp.total() != total:
+            dims = compare_dimensions(g, n)
+            if pp.total() != dims.total_dim:
                 raise RuntimeError(
-                    f"Betti sum {pp.total()} != dimension formula {total} "
+                    f"Betti sum {pp.total()} != dimension formula {dims.total_dim} "
                     f"at g={g}, n={n}"
                 )
-            sym = dim_sym_of_cohomology(g, n)
-            rows.append((g, n, pp.betti, total, sym, _relation(total, sym)))
+            rows.append(
+                (g, n, pp.betti, dims.total_dim, dims.sym_dim, dims.relation.value)
+            )
     header = ["g", "n", "betti", "total_dim", "sym_dim", "relation"]
     if args.format == "json":
         _print_json(

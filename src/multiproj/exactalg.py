@@ -327,6 +327,26 @@ class TruncatedBiseries:
                 base = base * base
         return result
 
+    def __truediv__(self, other: "TruncatedBiseries") -> "TruncatedBiseries":
+        """Exact quotient by a series whose constant t-term is 1.
+
+        Forward substitution s_k = a_k - sum_{j >= 1} b_j s_{k-j} over the
+        nonzero t-terms b_j of the divisor: dividing by 1 - t x^k is one pass.
+        """
+        self._check_cap(other)
+        if other._coeffs[0] != (1,):
+            raise ValueError(f"divisor needs constant t-term 1, got {other._coeffs[0]}")
+        rest = enumerate(other._coeffs[1:], start=1)
+        negated = [(j, tuple(-c for c in b)) for j, b in rest if b]
+        rows: list[tuple[int, ...]] = []
+        for k, a in enumerate(self._coeffs):
+            for j, b in negated:
+                if j > k:
+                    break
+                a = _xadd(a, _xmul(b, rows[k - j]))
+            rows.append(a)
+        return TruncatedBiseries(self._tcap, rows)
+
     def _check_cap(self, other: "TruncatedBiseries") -> None:
         if self._tcap != other._tcap:
             raise ValueError(
@@ -341,16 +361,9 @@ class TruncatedBiseries:
 def geometric_sum(u: TruncatedBiseries) -> TruncatedBiseries:
     """Sum of the geometric series 1 + u + u^2 + ... up to the t-cap.
 
-    This is the multiplicative inverse of (1 - u).  Requires the constant
-    t-term of ``u`` to vanish, otherwise the sum is not a power series in t.
+    This is the multiplicative inverse of (1 - u), computed as one exact
+    division.  The constant t-term of ``u`` must vanish (ValueError
+    otherwise), or the sum is not a power series in t.
     """
-    if u.coefficient(0):
-        raise ValueError(
-            "geometric_sum requires a series with zero constant term in t"
-        )
     one = TruncatedBiseries.one(u.tcap)
-    acc = one
-    # u has t-valuation >= 1, so tcap Horner steps reach the fixed point.
-    for _ in range(u.tcap):
-        acc = one + u * acc
-    return acc
+    return one / (one - u)

@@ -16,13 +16,14 @@ product written as a direct sum) this module implements the inverse of the
 tensor construction itself: recovering the factors of a product of
 irreducibles.  A tensor product of nontrivial irreducibles over a simple Lie
 algebra determines its factors up to reordering, so the recovery is well
-posed; we search exhaustively and verify uniqueness as we go.
+posed; it takes one forced exact division per factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import accumulate
+from operator import sub
 from typing import Iterator, Sequence
 
 from .exactalg import LaurentPoly
@@ -123,7 +124,6 @@ class IrrepMultiset:
         return len(self.labels)
 
 
-@lru_cache(maxsize=None)
 def irrep_character(n: int) -> Character:
     """Character q^n + q^(n-2) + ... + q^(-n) of the irreducible with label n."""
     if n < 0:
@@ -135,10 +135,10 @@ def tensor_character(factors: Sequence[Character]) -> Character:
     """Character of the tensor product of the given modules."""
     if not factors:
         raise ValueError("tensor_character needs at least one factor")
-    out = factors[0]
+    poly = factors[0].poly
     for c in factors[1:]:
-        out = out * c
-    return out
+        poly = poly * c.poly
+    return Character(poly)
 
 
 def clebsch_gordan_decompose(c: Character) -> IrrepMultiset:
@@ -176,49 +176,58 @@ def partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
-def _partition_list(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(partitions(n))
-
-
-@lru_cache(maxsize=None)
-def _labels_character(labels: tuple[int, ...]) -> Character:
-    return tensor_character([irrep_character(lab) for lab in labels])
-
-
 def factor_tensor_of_irreps(c: Character) -> IrrepMultiset:
     """Recover the unique factorization of c into nontrivial irreducibles.
 
-    Unique tensor factorization guarantees at most one multiset
-    {n_1, ..., n_r} of positive labels with irrep(n_1) x ... x irrep(n_r) = c.
-    The search space is small: the labels form a partition of the top degree N
-    of c, and only partitions with dimension product (n_i + 1) equal to dim(c)
-    can match.  Candidates are enumerated exhaustively, so a second match
-    would be caught (and would disprove uniqueness itself).
+    With x = q^2 the irreducible with label n is the q-integer
+    q^-n (1 - x^(n+1)) / (1 - x).  If c is a tensor of r of them, r is the
+    coefficient of q^(N-2), N the top degree, and
+
+        P(x) = q^N c (1 - x)^r = (1 - x^(n_1+1)) ... (1 - x^(n_r+1)).
+
+    The lowest positive power x^k of P has coefficient -(number of labels
+    equal to k - 1, the smallest), so each step peels label k - 1 by one
+    exact division of P by (1 - x^k).  Every step is forced, so at most one
+    multiset comes out; a failed step rejects c, and the labels are
+    confirmed by rebuilding the product.
     """
     if c.dimension <= 1:
         raise FactorizationError(
             "not a tensor of nontrivial irreducibles: dimension "
             f"{c.dimension} < 2"
         )
+    labels = _peel_q_integers(c)
+    if labels is None:
+        raise FactorizationError(f"not a tensor of nontrivial irreducibles: {c}")
+    return IrrepMultiset(tuple(labels))
+
+
+def _peel_q_integers(c: Character) -> list[int] | None:
+    """The labels found by peeling P = q^N c (1 - x)^r, or None if a step fails."""
     top = c.top_degree
-    dim = c.dimension
-    matches = []
-    for candidate in _partition_list(top):
-        prod = 1
-        for part in candidate:
-            prod *= part + 1
-        if prod != dim:
-            continue
-        if _labels_character(candidate) == c:
-            matches.append(candidate)
-    if not matches:
-        raise FactorizationError(
-            f"not a tensor of nontrivial irreducibles: {c}"
-        )
-    if len(matches) > 1:
-        raise RuntimeError(
-            "tensor factorization is not unique "
-            f"({matches!r}); this contradicts unique factorization"
-        )
-    return IrrepMultiset(matches[0])
+    weights = dict(c.poly.terms())
+    # A product of q-integers has all top + 1 weights of the parity of top,
+    # each with a positive coefficient, and no others.
+    if len(weights) != top + 1:
+        return None
+    given = [weights.get(top - 2 * j, 0) for j in range(top + 1)]
+    if given[0] != 1 or 0 in given or given[1] > top:
+        return None
+    p = list(given)
+    for _ in range(given[1]):  # times (1 - x), r times
+        p = list(map(sub, p + [0], [0] + p))
+    labels = []
+    # p[1] = r - r = 0, so every k >= 2 and every label is nontrivial
+    while len(p) > 1:  # p never ends in a zero coefficient
+        k = next(j for j in range(2, len(p)) if p[j])
+        for i in range(k):  # divided by (1 - x^k): q_j = p_j + q_(j-k)
+            p[i::k] = accumulate(p[i::k])
+        if any(p[-k:]):
+            return None
+        del p[-k:]
+        labels.append(k - 1)
+    rebuilt = [1]
+    for lab in labels:  # times (1 - x^(lab+1)), then prefix sums: / (1 - x)
+        shifted = map(sub, rebuilt + [0] * lab, [0] * (lab + 1) + rebuilt)
+        rebuilt = list(accumulate(shifted))
+    return labels if rebuilt == given else None

@@ -12,6 +12,8 @@ import sys
 import pytest
 from jsonschema import validate
 
+from multiproj.symcurve import total_dim_cohomology
+
 VERDICT_SCHEMA = {
     "type": "object",
     "required": [
@@ -256,3 +258,31 @@ class TestGlobalFlags:
         second = run(*args)
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode
+
+
+# Inputs that once took more than 10 s; each must now finish well inside it.
+@pytest.mark.parametrize(
+    "args,code,line",
+    [
+        (("factor", "--char", "q^1500 + q^-1500"), 1, None),
+        (("factor", "--partition", "500,400,300"), 0, "500,400,300"),
+        (("classify", "30,20,10", "31,19,10"), 0, "verdict: NON_ISOMORPHIC"),
+        (
+            ("betti", "--genus", "2", "--n", "2000", "--sum"),
+            0,
+            str(total_dim_cohomology(2, 2000)),
+        ),
+    ],
+)
+def test_large_input_finishes(args, code, line):
+    proc = subprocess.run(
+        [sys.executable, "-m", "multiproj", *args],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == code, proc.stderr
+    if line is None:
+        assert proc.stdout == ""
+    else:
+        assert line in proc.stdout.splitlines()

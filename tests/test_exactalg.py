@@ -153,6 +153,20 @@ class TestBiseries:
         with pytest.raises(ValueError):
             geometric_sum(TruncatedBiseries.one(2))
 
+    def test_division_needs_constant_term_one(self):
+        a = TruncatedBiseries(2, ((1,), (0, 3)))
+        for divisor in (
+            TruncatedBiseries(2, ((2,), (1,))),
+            TruncatedBiseries(2, ((1, 1),)),
+            TruncatedBiseries.term(2, 1, 0),
+        ):
+            with pytest.raises(ValueError, match="constant t-term 1"):
+                a / divisor
+
+    def test_division_cap_mismatch(self):
+        with pytest.raises(ValueError, match="tcap mismatch"):
+            TruncatedBiseries.one(2) / TruncatedBiseries.one(3)
+
     def test_pow_matches_repeated_mul(self):
         one = TruncatedBiseries.one(4)
         tx = TruncatedBiseries.term(4, 1, 1)
@@ -173,3 +187,10 @@ def test_geometric_is_inverse_of_one_minus_u(tcap, rows):
     u = TruncatedBiseries(tcap, rows)
     one = TruncatedBiseries.one(tcap)
     assert geometric_sum(u) * (one - u) == one
+
+
+@given(st.integers(min_value=0, max_value=6), x_rows, x_rows)
+def test_division_undoes_multiplication(tcap, a_rows, b_rows):
+    a = TruncatedBiseries(tcap, a_rows[: tcap + 1])
+    b = TruncatedBiseries(tcap, [[1]] + b_rows[:tcap])
+    assert (a / b) * b == a

@@ -1,5 +1,8 @@
 """Character ring: irreducibles, tensor products, decomposition, factorization."""
 
+import random
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,6 +21,54 @@ from multiproj.sl2rep import (
 
 def char_of(text):
     return Character(LaurentPoly.parse(text))
+
+
+def search_factorization(c):
+    """Exhaustive oracle: the partition of the top degree whose tensor is c.
+
+    Tries every partition of the top degree whose dimension product matches
+    and asserts that at most one of them rebuilds c.  Returns None when none
+    does.  Its cost grows with the partition count, so it is for small tops.
+    """
+    if c.dimension <= 1:
+        return None
+    matches = []
+    for candidate in partitions(c.top_degree):
+        prod = 1
+        for part in candidate:
+            prod *= part + 1
+        if prod == c.dimension and c == tensor_character(
+            [irrep_character(k) for k in candidate]
+        ):
+            matches.append(candidate)
+    assert len(matches) <= 1, f"two factorizations of {c}: {matches}"
+    return IrrepMultiset(matches[0]) if matches else None
+
+
+def peel_or_none(c):
+    try:
+        return factor_tensor_of_irreps(c)
+    except FactorizationError:
+        return None
+
+
+def sums_of_irreducibles(max_label, max_summands):
+    for count in range(1, max_summands + 1):
+        for labels in combinations_with_replacement(range(max_label + 1), count):
+            poly = LaurentPoly.zero()
+            for k in labels:
+                poly = poly + irrep_character(k).poly
+            yield Character(poly)
+
+
+def random_palindromic(rng, max_top):
+    top = rng.randint(0, max_top)
+    coeffs = {top: rng.randint(1, 2)}
+    for k in range(top):
+        coeffs[k] = rng.choice((0, 0, 1, 1, 1, 2, 2, 3))
+    return Character(
+        LaurentPoly({k: coeffs[abs(k)] for k in range(-top, top + 1)})
+    )
 
 
 class TestIrrepCharacter:
@@ -146,6 +197,43 @@ class TestFactorization:
         for labels in partitions(n):
             c = tensor_character([irrep_character(k) for k in labels])
             assert factor_tensor_of_irreps(c).labels == labels
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("q^2 + q + q^-1 + q^-2", None),  # mixed parity
+            ("2*q + 2*q^-1", None),  # leading coefficient 2
+            ("q^4 + q^-4", None),  # no q^(N-2) term
+            ("q^2 + 3 + q^-2", None),  # not a product of irreducibles
+            ("q^2 + 1000000000 + q^-2", None),  # more factors than the top allows
+            ("q^4 + 2*q^2 + 2 + 2*q^-2 + q^-4", "3,1"),
+        ],
+    )
+    def test_peel_branches(self, text, expected):
+        if expected is None:
+            with pytest.raises(
+                FactorizationError, match="not a tensor of nontrivial irreducibles"
+            ):
+                factor_tensor_of_irreps(char_of(text))
+        else:
+            assert str(factor_tensor_of_irreps(char_of(text))) == expected
+
+    def test_peel_agrees_with_search_on_sums(self):
+        compared = 0
+        for c in sums_of_irreducibles(10, 3):
+            assert peel_or_none(c) == search_factorization(c), str(c)
+            compared += 1
+        assert compared == 11 + 66 + 286
+
+    def test_peel_agrees_with_search_on_random_characters(self):
+        rng = random.Random(20240526)
+        factored = 0
+        for _ in range(20_000):
+            c = random_palindromic(rng, 9)
+            found = search_factorization(c)
+            assert peel_or_none(c) == found, str(c)
+            factored += found is not None
+        assert factored > 100
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_characters_injective_at_fixed_sum(self, n):

@@ -1,0 +1,61 @@
+"""Rules on the package source: no cache that grows without bound."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import multiproj
+
+SOURCES = sorted(Path(multiproj.__file__).parent.glob("*.py"))
+
+
+def unbounded_caches(tree):
+    """Line numbers of ``lru_cache(maxsize=None)`` and ``functools.cache``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            lines += [node.lineno for alias in node.names if alias.name == "cache"]
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "cache"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"
+        ):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "attr", getattr(func, "id", None))
+            if name != "lru_cache":
+                continue
+            sizes = node.args[:1]
+            sizes += [k.value for k in node.keywords if k.arg == "maxsize"]
+            if any(isinstance(s, ast.Constant) and s.value is None for s in sizes):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_sources_found():
+    assert {p.name for p in SOURCES} >= {"sl2rep.py", "classifier.py", "cli.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unbounded_cache(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert unbounded_caches(tree) == [], f"unbounded cache in {path.name}"
+
+
+@pytest.mark.parametrize(
+    "source,flagged",
+    [
+        ("@functools.lru_cache(maxsize=None)\ndef f(): pass", True),
+        ("@lru_cache(None)\ndef f(): pass", True),
+        ("@functools.cache\ndef f(): pass", True),
+        ("from functools import cache", True),
+        ("@lru_cache(maxsize=128)\ndef f(): pass", False),
+        ("@lru_cache\ndef f(): pass", False),
+    ],
+    ids=["maxsize-none", "positional-none", "cache", "import-cache", "bounded", "bare"],
+)
+def test_rule_detects_unbounded_caches(source, flagged):
+    assert bool(unbounded_caches(ast.parse(source))) is flagged
