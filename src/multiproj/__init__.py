@@ -46,6 +46,7 @@ from .sl2rep import (
     irrep_character,
     partitions,
     tensor_character,
+    tensor_irreps_character,
 )
 from .symcurve import (
     DimensionComparison,
@@ -104,6 +105,7 @@ __all__ = [
     "poincare_via_series",
     "sym2_p1_map",
     "tensor_character",
+    "tensor_irreps_character",
     "tensor_modules",
     "total_dim_cohomology",
     "verify_brackets",

@@ -26,8 +26,7 @@ from .sl2rep import (
     Character,
     IrrepMultiset,
     factor_tensor_of_irreps,
-    irrep_character,
-    tensor_character,
+    tensor_irreps_character,
 )
 from .symcurve import PoincarePolynomial
 
@@ -90,7 +89,7 @@ def cohomology_character(p: Partition) -> Character:
     Kuenneth makes it the product of the irreducible characters of the
     factors; the dimension is prod(n_i + 1) and the top weight is sum(n_i).
     """
-    return tensor_character([irrep_character(part) for part in p.parts])
+    return tensor_irreps_character(p.parts)
 
 
 class Verdict(enum.Enum):

@@ -12,10 +12,12 @@ The normalization here fixes Y e_p = e_{p+1}; the commutation relation
 (the adjoint under any Kaehler metric differs from this only by a rescaling of
 the basis, which the bracket relations cannot see).
 
-All matrices carry exact Fraction entries.  Bracket verification, character
-extraction, Kuenneth tensor products and the irreducibility test (kernel of X
-plus the Y-orbit of a highest-weight vector) are all exact; ranks and kernels
-come from fraction-free Gaussian elimination over the integers.
+Matrix entries are exact: Python ints, with a Fraction only for a value that
+is not integral, so the modules built here never leave the integers.  Bracket
+verification, character extraction, Kuenneth tensor products and the
+irreducibility test (kernel of X plus the Y-orbit of a highest-weight vector)
+are all exact; ranks and kernels come from one fraction-free forward
+elimination over the integers.
 """
 
 from __future__ import annotations
@@ -24,14 +26,28 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .exactalg import LaurentPoly
 from .sl2rep import Character
 
 
+def _exact(v: object) -> int | Fraction:
+    """v as an int when integral, else as a Fraction; other types are refused."""
+    if isinstance(v, int):
+        return v
+    if isinstance(v, Fraction):
+        return v.numerator if v.denominator == 1 else v
+    raise TypeError(f"matrix entries must be int or Fraction, not {type(v).__name__}")
+
+
 class RatMatrix:
-    """Sparse matrix with exact Fraction entries, immutable by convention."""
+    """Sparse exact matrix, immutable by convention.
+
+    An integral entry is stored as an int (a Fraction with denominator 1 as
+    its numerator); only a non-integral value stays a Fraction.  Floats and
+    strings are refused, and arithmetic on integer matrices stays in int.
+    """
 
     __slots__ = ("nrows", "ncols", "_rows")
 
@@ -39,16 +55,16 @@ class RatMatrix:
         self,
         nrows: int,
         ncols: int,
-        entries: Mapping[tuple[int, int], Fraction | int] | None = None,
+        entries: Mapping[tuple[int, int], int | Fraction] | None = None,
     ):
         if nrows < 0 or ncols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        rows: list[dict[int, Fraction]] = [{} for _ in range(nrows)]
+        rows: list[dict[int, int | Fraction]] = [{} for _ in range(nrows)]
         if entries:
             for (i, j), v in entries.items():
                 if not (0 <= i < nrows and 0 <= j < ncols):
                     raise ValueError(f"entry ({i}, {j}) outside {nrows}x{ncols}")
-                v = Fraction(v)
+                v = _exact(v)
                 if v:
                     rows[i][j] = v
         self.nrows = nrows
@@ -64,26 +80,21 @@ class RatMatrix:
         return cls(n, n, {(i, i): 1 for i in range(n)})
 
     @classmethod
-    def diagonal(cls, values: Sequence[Fraction | int]) -> "RatMatrix":
+    def diagonal(cls, values: Sequence[int | Fraction]) -> "RatMatrix":
         n = len(values)
         return cls(n, n, {(i, i): v for i, v in enumerate(values)})
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self._rows[i].get(j, Fraction(0))
+    def entry(self, i: int, j: int) -> int | Fraction:
+        return self._rows[i].get(j, 0)
 
-    def row_items(self, i: int) -> list[tuple[int, Fraction]]:
+    def row_items(self, i: int) -> list[tuple[int, int | Fraction]]:
         return sorted(self._rows[i].items())
 
     def is_zero(self) -> bool:
         return all(not row for row in self._rows)
 
-    def max_abs_entry(self) -> Fraction:
-        best = Fraction(0)
-        for row in self._rows:
-            for v in row.values():
-                if abs(v) > best:
-                    best = abs(v)
-        return best
+    def max_abs_entry(self) -> int | Fraction:
+        return max((abs(v) for row in self._rows for v in row.values()), default=0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatMatrix):
@@ -100,7 +111,7 @@ class RatMatrix:
         for i in range(self.nrows):
             row = dict(self._rows[i])
             for j, v in other._rows[i].items():
-                s = row.get(j, Fraction(0)) + v
+                s = row.get(j, 0) + v
                 if s:
                     row[j] = s
                 else:
@@ -111,8 +122,8 @@ class RatMatrix:
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
         return self + other.scale(-1)
 
-    def scale(self, factor: Fraction | int) -> "RatMatrix":
-        factor = Fraction(factor)
+    def scale(self, factor: int | Fraction) -> "RatMatrix":
+        factor = _exact(factor)
         out = RatMatrix(self.nrows, self.ncols)
         if factor:
             for i in range(self.nrows):
@@ -127,10 +138,10 @@ class RatMatrix:
             )
         out = RatMatrix(self.nrows, other.ncols)
         for i in range(self.nrows):
-            acc: dict[int, Fraction] = {}
+            acc: dict[int, int | Fraction] = {}
             for k, a in self._rows[i].items():
                 for j, b in other._rows[k].items():
-                    s = acc.get(j, Fraction(0)) + a * b
+                    s = acc.get(j, 0) + a * b
                     if s:
                         acc[j] = s
                     else:
@@ -138,15 +149,15 @@ class RatMatrix:
             out._rows[i] = acc
         return out
 
-    def apply(self, vec: Mapping[int, Fraction]) -> dict[int, Fraction]:
+    def apply(self, vec: Mapping[int, int | Fraction]) -> dict[int, int | Fraction]:
         """Sparse matrix-vector product (vec maps index -> coefficient)."""
-        out: dict[int, Fraction] = {}
-        for i, row in enumerate(self._rows):
-            s = Fraction(0)
-            for j, a in row.items():
-                c = vec.get(j)
-                if c is not None:
-                    s += a * c
+        return self._apply(range(self.nrows), vec)
+
+    def _apply(self, rows: Iterable[int], vec: Mapping) -> dict:
+        """The nonzero entries of self @ vec at the given row indices."""
+        out = {}
+        for i in rows:
+            s = sum(a * vec[j] for j, a in self._rows[i].items() if j in vec)
             if s:
                 out[i] = s
         return out
@@ -174,64 +185,48 @@ class RatMatrix:
             )
 
 
-def _rank(rows: list[list[int]], ncols: int) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
-    rows = [list(r) for r in rows]
-    m = len(rows)
-    rank = 0
+def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[int], list[list[int]]]:
+    """Pivot columns and echelon rows of an integer matrix.
+
+    Forward-only fraction-free (Bareiss) elimination: every division is exact,
+    so the entries stay integers, and the echelon rows have the kernel of the
+    input.  The rank is the number of pivots.
+    """
+    rows = list(rows)  # rows are replaced below, never changed in place
+    pivots: list[int] = []
     prev = 1
-    col = 0
-    while rank < m and col < ncols:
-        piv = next((i for i in range(rank, m) if rows[i][col] != 0), None)
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if piv is None:
-            col += 1
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        pivot_row = rows[rank]
-        p = pivot_row[col]
-        for i in range(rank + 1, m):
-            ri = rows[i]
-            f = ri[col]
-            for j in range(col + 1, ncols):
-                ri[j] = (p * ri[j] - f * pivot_row[j]) // prev
-            ri[col] = 0
+        p = rows[rank][col]
+        zeros, tail = [0] * (col + 1), rows[rank][col + 1 :]
+        for i in range(rank + 1, len(rows)):
+            f, ri = rows[i][col], rows[i][col + 1 :]
+            rows[i] = zeros + [(p * a - f * b) // prev for a, b in zip(ri, tail)]
         prev = p
-        rank += 1
-        col += 1
-    return rank
-
-
-def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the right kernel, via reduced row echelon form over Q."""
-    rows = [list(r) for r in rows if any(r)]
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    basis = []
+    return pivots, rows[: len(pivots)]
+
+
+def _kernel_vector(pivots: list[int], rows: list[list[int]], ncols: int) -> list[int]:
+    """A nonzero integer kernel vector of echelon rows with a free column.
+
+    The first free column is 1, the other free columns 0; back-substitution
+    fills the pivot columns, scaling the vector so that it stays integral.
+    """
     pivot_set = set(pivots)
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for i, col in enumerate(pivots):
-            vec[col] = -rows[i][free]
-        basis.append(vec)
-    return basis
+    vec = [0] * ncols
+    vec[next(c for c in range(ncols) if c not in pivot_set)] = 1
+    for col, row in zip(reversed(pivots), reversed(rows)):
+        s = sum(a * v for a, v in zip(row, vec) if v)
+        g = math.gcd(s, row[col])
+        if row[col] != g:
+            vec = [row[col] // g * v for v in vec]
+        vec[col] = -s // g
+    return vec
 
 
 @dataclass(frozen=True)
@@ -376,21 +371,34 @@ def _weight_indices(m: Sl2MatrixModule) -> dict[int, list[int]]:
 
 def _x_block(
     m: Sl2MatrixModule, spaces: dict[int, list[int]], w: int
-) -> tuple[list[list[Fraction]], list[int]]:
-    """X restricted to the weight-w space, as rows over the weight-(w+2) basis."""
-    cols = spaces[w]
-    rows_idx = spaces.get(w + 2, [])
-    block = [[m.X.entry(r, c) for c in cols] for r in rows_idx]
-    return block, cols
+) -> list[list[int]]:
+    """X on the weight-w space, as integer rows over the weight-(w+2) basis.
+
+    A row with Fraction entries is scaled by the lcm of their denominators,
+    which keeps the kernel; zero rows are left out.
+    """
+    pos = {c: k for k, c in enumerate(spaces[w])}
+    block = []
+    for r in spaces.get(w + 2, ()):
+        items = m.X.row_items(r)
+        if items:
+            scale = math.lcm(*(v.denominator for _, v in items))
+            row = [0] * len(pos)
+            for j, v in items:
+                row[pos[j]] = int(v * scale)
+            block.append(row)
+    return block
 
 
-def _block_nullity(block: list[list[Fraction]], ncols: int) -> int:
-    int_rows = []
-    for row in block:
-        if any(row):
-            scale = math.lcm(*(v.denominator for v in row))
-            int_rows.append([int(v * scale) for v in row])
-    return ncols - _rank(int_rows, ncols)
+def _x_kernel_dims(m: Sl2MatrixModule, spaces: dict[int, list[int]]):
+    """Kernel dimension of X on each weight space, from the top weight down.
+
+    Yields (weight, kernel dimension, pivot columns, echelon rows); the last
+    two give a kernel vector without a second elimination.
+    """
+    for w in sorted(spaces, reverse=True):
+        pivots, rows = _echelon(_x_block(m, spaces, w), len(spaces[w]))
+        yield w, len(spaces[w]) - len(pivots), pivots, rows
 
 
 def highest_weight_multiplicities(m: Sl2MatrixModule) -> dict[int, int]:
@@ -400,13 +408,7 @@ def highest_weight_multiplicities(m: Sl2MatrixModule) -> dict[int, int]:
     multiplicities of the Clebsch-Gordan decomposition.
     """
     spaces = _weight_indices(m)
-    out: dict[int, int] = {}
-    for w in sorted(spaces, reverse=True):
-        block, cols = _x_block(m, spaces, w)
-        nullity = _block_nullity(block, len(cols))
-        if nullity:
-            out[w] = nullity
-    return out
+    return {w: dim for w, dim, _, _ in _x_kernel_dims(m, spaces) if dim}
 
 
 def is_irreducible(m: Sl2MatrixModule) -> bool:
@@ -414,29 +416,26 @@ def is_irreducible(m: Sl2MatrixModule) -> bool:
 
     X preserves the weight grading (weight w -> w + 2), so its kernel splits
     across the weight spaces and can be collected blockwise; the scan aborts
-    as soon as a second kernel dimension shows up.
+    as soon as a second kernel dimension shows up.  X kills the top weight
+    space, so otherwise exactly one line is found.
     """
     spaces = _weight_indices(m)
-    total = 0
-    hw_weight = None
-    for w in sorted(spaces, reverse=True):
-        block, cols = _x_block(m, spaces, w)
-        nullity = _block_nullity(block, len(cols))
-        if nullity:
-            total += nullity
-            hw_weight = w
-            if total > 1:
+    top = None
+    for w, dim, pivots, rows in _x_kernel_dims(m, spaces):
+        if dim:
+            if top is not None or dim > 1:
                 return False
-    if total != 1 or hw_weight is None:
-        return False
-    block, cols = _x_block(m, spaces, hw_weight)
-    kernel = _nullspace(block, len(cols))
-    vec = {cols[i]: v for i, v in enumerate(kernel[0]) if v}
+            top = w, pivots, rows
+    w, pivots, rows = top
+    kernel = _kernel_vector(pivots, rows, len(spaces[w]))
+    vec = {i: v for i, v in zip(spaces[w], kernel) if v}
     # Successive Y-images live in strictly decreasing weight eigenspaces, so
     # the nonzero ones are automatically linearly independent: the orbit spans
-    # exactly when all dim of them are nonzero.
+    # exactly when all dim of them are nonzero.  Y lowers the weight by
+    # exactly 2, so each image is read off the rows of the next weight space.
     count = 0
-    while vec and count <= m.dim:
+    while vec:
         count += 1
-        vec = m.Y.apply(vec)
+        w -= 2
+        vec = m.Y._apply(spaces.get(w, ()), vec)
     return count == m.dim

@@ -141,6 +141,24 @@ def tensor_character(factors: Sequence[Character]) -> Character:
     return Character(poly)
 
 
+def tensor_irreps_character(labels: Sequence[int]) -> Character:
+    """Character of the tensor product of the irreducibles with these labels.
+
+    A dense product of q-integers in O(r N) for r labels summing to N: with
+    x = q^2, each label n multiplies the coefficients of x^0, x^1, ... by
+    1 - x^(n+1) and divides them by 1 - x (prefix sums).  No labels give the
+    trivial character 1.
+    """
+    coeffs = [1]
+    for lab in labels:
+        if lab < 0:
+            raise ValueError(f"irreducible labels are nonnegative, got {lab}")
+        shifted = map(sub, coeffs + [0] * lab, [0] * (lab + 1) + coeffs)
+        coeffs = list(accumulate(shifted))
+    top = len(coeffs) - 1
+    return Character(LaurentPoly({top - 2 * j: c for j, c in enumerate(coeffs)}))
+
+
 def clebsch_gordan_decompose(c: Character) -> IrrepMultiset:
     """Write a character as a direct sum of irreducibles (with multiplicity).
 
@@ -226,8 +244,4 @@ def _peel_q_integers(c: Character) -> list[int] | None:
             return None
         del p[-k:]
         labels.append(k - 1)
-    rebuilt = [1]
-    for lab in labels:  # times (1 - x^(lab+1)), then prefix sums: / (1 - x)
-        shifted = map(sub, rebuilt + [0] * lab, [0] * (lab + 1) + rebuilt)
-        rebuilt = list(accumulate(shifted))
-    return labels if rebuilt == given else None
+    return labels if tensor_irreps_character(labels) == c else None

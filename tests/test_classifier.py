@@ -17,7 +17,12 @@ from multiproj.classifier import (
     sym2_p1_map,
 )
 from multiproj.exactalg import LaurentPoly
-from multiproj.sl2rep import Character, partitions
+from multiproj.sl2rep import (
+    Character,
+    irrep_character,
+    partitions,
+    tensor_character,
+)
 from multiproj.symcurve import poincare_genus_zero
 
 
@@ -83,6 +88,13 @@ class TestCohomologyCharacter:
             expected_dim *= k + 1
         assert c.dimension == expected_dim
         assert c.top_degree == sum(parts)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_dense_product_matches_sparse_product(self, n):
+        # the sparse product of irreducible characters is the oracle
+        for parts in partitions(n):
+            sparse = tensor_character([irrep_character(k) for k in parts])
+            assert cohomology_character(Partition(parts)) == sparse
 
 
 class TestClassify:

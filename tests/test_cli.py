@@ -272,6 +272,8 @@ class TestGlobalFlags:
             0,
             str(total_dim_cohomology(2, 2000)),
         ),
+        (("lefschetz-check", "20000"), 0, "irreducible: true"),
+        (("lefschetz-check", "--partition", "6,6,6,6,6"), 0, "irreducible: false"),
     ],
 )
 def test_large_input_finishes(args, code, line):

@@ -1,5 +1,8 @@
 """Matrix modules: construction, brackets, tensor products, irreducibility."""
 
+import cProfile
+import pstats
+import random
 from fractions import Fraction
 from functools import reduce
 
@@ -7,6 +10,8 @@ import pytest
 
 from multiproj.lefschetz import (
     RatMatrix,
+    _echelon,
+    _kernel_vector,
     Sl2MatrixModule,
     build_cohomology_module,
     highest_weight_multiplicities,
@@ -25,6 +30,70 @@ from multiproj.sl2rep import (
 
 def tensor_of(parts):
     return reduce(tensor_modules, (build_cohomology_module(k) for k in parts))
+
+
+# The two eliminators the package used before one forward fraction-free
+# elimination replaced them; they serve as oracles for rank and kernel.
+
+
+def _rank(rows: list[list[int]], ncols: int) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
+    rows = [list(r) for r in rows]
+    m = len(rows)
+    rank = 0
+    prev = 1
+    col = 0
+    while rank < m and col < ncols:
+        piv = next((i for i in range(rank, m) if rows[i][col] != 0), None)
+        if piv is None:
+            col += 1
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pivot_row = rows[rank]
+        p = pivot_row[col]
+        for i in range(rank + 1, m):
+            ri = rows[i]
+            f = ri[col]
+            for j in range(col + 1, ncols):
+                ri[j] = (p * ri[j] - f * pivot_row[j]) // prev
+            ri[col] = 0
+        prev = p
+        rank += 1
+        col += 1
+    return rank
+
+
+def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+    """Basis of the right kernel, via reduced row echelon form over Q."""
+    rows = [list(r) for r in rows if any(r)]
+    pivots: list[int] = []
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][col]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    basis = []
+    pivot_set = set(pivots)
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for i, col in enumerate(pivots):
+            vec[col] = -rows[i][free]
+        basis.append(vec)
+    return basis
 
 
 class TestRatMatrix:
@@ -58,6 +127,27 @@ class TestRatMatrix:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             RatMatrix(2, 3) @ RatMatrix(2, 3)
+
+    def test_integral_entries_are_ints(self):
+        a = RatMatrix(1, 2, {(0, 0): Fraction(4, 2), (0, 1): Fraction(1, 2)})
+        assert type(a.entry(0, 0)) is int and a.entry(0, 0) == 2
+        assert a.entry(0, 1) == Fraction(1, 2)
+        assert type(RatMatrix(1, 1).entry(0, 0)) is int
+        assert a.scale(Fraction(6, 3)).row_items(0) == [(0, 4), (1, 1)]
+        assert RatMatrix(1, 1, {(0, 0): 1}) == RatMatrix(1, 1, {(0, 0): Fraction(1)})
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: RatMatrix(1, 1, {(0, 0): 0.1}),
+            lambda: RatMatrix.identity(2).scale(0.5),
+            lambda: RatMatrix(1, 1, {(0, 0): "1/3"}),
+        ],
+        ids=["float-entry", "float-scale", "string-entry"],
+    )
+    def test_inexact_values_rejected(self, make):
+        with pytest.raises(TypeError):
+            make()
 
 
 class TestBuildModule:
@@ -198,6 +288,74 @@ class TestHighestWeight:
             module = tensor_of(parts)
             cg = clebsch_gordan_decompose(module_character(module))
             assert highest_weight_multiplicities(module) == dict(cg.counts())
+
+
+def random_integer_rows(rng, nrows, ncols):
+    """Rows with entries in -3..3, some forced zero or combinations of others."""
+    rows = []
+    for _ in range(nrows):
+        kind = rng.randrange(4)
+        if kind == 0:
+            rows.append([0] * ncols)
+        elif kind == 1 and rows:
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = rng.randint(-2, 2), rng.randint(-2, 2)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            rows.append([rng.randint(-3, 3) for _ in range(ncols)])
+    rng.shuffle(rows)
+    return rows
+
+
+class TestEliminator:
+    def test_agrees_with_oracles_on_random_matrices(self):
+        rng = random.Random(20261018)
+        deficient = 0
+        for _ in range(3000):
+            nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+            rows = random_integer_rows(rng, nrows, ncols)
+            pivots, echelon = _echelon(rows, ncols)
+            rank = _rank(rows, ncols)
+            assert len(pivots) == rank
+            deficient += rank < min(nrows, ncols)
+            basis = _nullspace([[Fraction(v) for v in r] for r in rows], ncols)
+            assert ncols - rank == len(basis)
+            if basis:
+                vec = _kernel_vector(pivots, echelon, ncols)
+                assert all(type(v) is int for v in vec) and any(vec)
+                assert all(sum(a * v for a, v in zip(r, vec)) == 0 for r in rows)
+        assert deficient > 500  # zero and dependent rows really occur
+
+    @pytest.mark.parametrize(
+        "parts,factor",
+        [((2, 1), Fraction(1, 2)), ((5,), Fraction(1, 2)), ((1, 1), Fraction(2, 3))],
+    )
+    def test_non_integral_module(self, parts, factor):
+        # scaling X keeps its kernel; the rows are cleared of denominators
+        m = tensor_of(parts)
+        scaled = Sl2MatrixModule(
+            dim=m.dim,
+            X=m.X.scale(factor),
+            Y=m.Y,
+            H=m.H,
+            basis_weights=m.basis_weights,
+        )
+        entries = [v for i in range(m.dim) for _, v in scaled.X.row_items(i)]
+        assert any(type(v) is Fraction for v in entries)
+        assert highest_weight_multiplicities(scaled) == (
+            highest_weight_multiplicities(m)
+        )
+        assert is_irreducible(scaled) == (len(parts) == 1)
+
+    def test_integer_modules_create_no_fraction(self):
+        m = tensor_of((3, 2, 1))
+        profile = cProfile.Profile()
+        profile.runcall(verify_brackets, m)
+        profile.runcall(highest_weight_multiplicities, m)
+        profile.runcall(is_irreducible, m)
+        profile.runcall(is_irreducible, build_cohomology_module(40))
+        called = pstats.Stats(profile).stats
+        assert not [f for f in called if f[0].endswith("fractions.py")]
 
 
 class TestIrreducibility:

@@ -1,4 +1,4 @@
-"""Rules on the package source: no cache that grows without bound."""
+"""Rules on the package source: no cache that grows without bound, no floats."""
 
 import ast
 from pathlib import Path
@@ -35,6 +35,33 @@ def unbounded_caches(tree):
     return lines
 
 
+FLOAT_MATH = {"sqrt", "log", "exp"}
+
+
+def floating_point(tree):
+    """Line numbers of float literals, ``float(...)`` and math.sqrt/log/exp."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            lines.append(node.lineno)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "float"
+        ):
+            lines.append(node.lineno)
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in FLOAT_MATH
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "math"
+        ):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            lines += [node.lineno for a in node.names if a.name in FLOAT_MATH]
+    return lines
+
+
 def test_sources_found():
     assert {p.name for p in SOURCES} >= {"sl2rep.py", "classifier.py", "cli.py"}
 
@@ -59,3 +86,30 @@ def test_no_unbounded_cache(path):
 )
 def test_rule_detects_unbounded_caches(source, flagged):
     assert bool(unbounded_caches(ast.parse(source))) is flagged
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_floating_point(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert floating_point(tree) == [], f"floating point in {path.name}"
+
+
+@pytest.mark.parametrize(
+    "source,flagged",
+    [
+        ("x = 0.5", True),
+        ("x = 1e3", True),
+        ("x = float(n)", True),
+        ("import math\nx = math.sqrt(n)", True),
+        ("x = math.log(n)", True),
+        ("x = math.exp(n)", True),
+        ("from math import sqrt", True),
+        ("x = math.isqrt(n) + math.lcm(a, b)", False),
+        ("x = Fraction(1, 2)", False),
+        ("x = 10 ** 3", False),
+    ],
+    ids=["literal", "exponent-literal", "float-call", "sqrt", "log", "exp",
+         "import-sqrt", "integer-math", "fraction", "integer-power"],
+)
+def test_rule_detects_floating_point(source, flagged):
+    assert bool(floating_point(ast.parse(source))) is flagged
