@@ -1,0 +1,82 @@
+"""Golden output of the command line: exit code, stdout and stderr, byte for byte.
+
+The cases are every invocation of acceptance criterion 10 in each format,
+with and without ``--quiet``, plus the usage and domain errors.  Each runs
+``cli.main`` in-process and must reproduce ``tests/golden/cli.json``.
+
+Re-record the file after an intended change of output:
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from multiproj import cli
+from test_acceptance import _CLI_CASES
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
+
+ERRORS = [
+    ["lefschetz-check", "3", "--partition", "2,1"],
+    ["lefschetz-check"],
+    ["factor", "--roundtrip", "0"],
+    ["factor", "--char", "q^^2"],
+    ["factor", "--partition", "0"],
+    ["table", "--genus", "x", "--n", "1"],
+    ["table", "--genus", "1..200", "--n", "1..200"],
+    ["dims", "--genus", "1", "--n", "1"],
+    ["betti", "--genus", "1", "--n", "0"],
+]
+
+
+def invocations():
+    """Every recorded argv, in file order."""
+    # Criterion 10 keeps ``--roundtrip 20``, about a second; 8 is enough here.
+    commands = [
+        ["8" if a == "20" and "--roundtrip" in args else a for a in args]
+        for _, args in _CLI_CASES
+    ]
+    for argv in commands:
+        for fmt in ("table", "json", "csv"):
+            for quiet in ([], ["--quiet"]):
+                yield [*argv, "--format", fmt, *quiet]
+    yield from ERRORS
+
+
+def run(argv):
+    """``cli.main(argv)`` in-process: exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return {"argv": list(argv), "exit": code,
+            "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+CASES = json.loads(GOLDEN.read_text())["cases"] if GOLDEN.exists() else []
+
+
+def test_golden_covers_every_invocation():
+    assert [case["argv"] for case in CASES] == list(invocations())
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda case: " ".join(case["argv"]))
+def test_output_matches_golden(case):
+    assert run(case["argv"]) == case
+
+
+def record():
+    cases = [run(argv) for argv in invocations()]
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps({"cases": cases}, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    record()
