@@ -16,20 +16,23 @@ the same invocation always produces byte-identical stdout.
 Exit codes: 0 = result computed (including NON_ISOMORPHIC verdicts -- the
 answer to a question is not an error); 1 = domain failure (e.g. a character
 with no factorization into nontrivial irreducibles, or a failed expectation
-in lefschetz-check); 2 = usage or parse error.
+in lefschetz-check); 2 = usage or parse error.  Requests over a size limit
+are usage errors: a ``table`` of more than 10^4 cells, a ``lefschetz-check``
+module of dimension over 200000, and ``factor --roundtrip`` beyond 25.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
+from dataclasses import asdict
 from functools import reduce
+from math import prod
 from typing import Sequence
 
-from .classifier import classify, cohomology_character, parse_partition
+from .classifier import Partition, classify, cohomology_character, parse_partition
 from .exactalg import LaurentPoly
 from .lefschetz import (
     build_cohomology_module,
@@ -45,13 +48,9 @@ from .sl2rep import (
     irrep_character,
     partitions,
     tensor_character,
+    tensor_irreps_character,
 )
-from .symcurve import (
-    betti_closed,
-    compare_dimensions,
-    poincare_genus_zero,
-    poincare_via_series,
-)
+from .symcurve import betti_closed, compare_dimensions, poincare_polynomial
 
 
 class _UsageError(Exception):
@@ -83,27 +82,36 @@ def _parse_range(text: str, what: str, minimum: int) -> range:
     return range(lo, hi + 1)
 
 
-def _print(args: argparse.Namespace, text: str) -> None:
-    if not args.quiet:
+def _emit(args: argparse.Namespace, doc, rows: list[dict], text: str) -> None:
+    """Write a command's result to stdout: ``doc``, ``rows`` or ``text``.
+
+    JSON is ``doc``; CSV is ``rows`` under a header of the first row's keys,
+    with ``None`` written as empty; the table format is ``text``.
+    """
+    if args.quiet:
+        return
+    if args.format == "json":
+        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    elif args.format == "csv":
+        writer = csv.DictWriter(sys.stdout, list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    else:
         sys.stdout.write(text + "\n")
 
 
-def _print_json(args: argparse.Namespace, doc) -> None:
-    _print(args, json.dumps(doc, indent=2))
-
-
-def _print_csv(args: argparse.Namespace, header: Sequence[str], rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    if not args.quiet:
-        sys.stdout.write(buf.getvalue())
+def _partition(text: str) -> Partition:
+    try:
+        return parse_partition(text)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _checked_poincare(g: int, n: int):
-    """Series expansion, cross-checked coefficient-by-coefficient vs closed form."""
-    pp = poincare_via_series(g, n)
+    """``poincare_polynomial``, its series (g >= 1) checked against the closed form."""
+    pp = poincare_polynomial(g, n)
+    if g == 0:
+        return pp
     for r, b in enumerate(pp.betti):
         expected = betti_closed(g, n, r)
         if b != expected:
@@ -114,29 +122,14 @@ def _checked_poincare(g: int, n: int):
     return pp
 
 
-def _poincare(g: int, n: int):
-    return poincare_genus_zero(n) if g == 0 else _checked_poincare(g, n)
-
-
 # ---------------------------------------------------------------- classify
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    try:
-        p1 = parse_partition(args.partition1)
-        p2 = parse_partition(args.partition2)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    verdict = classify(p1, p2)
-    doc = verdict.to_json_dict()
-    if args.format == "json":
-        _print_json(args, doc)
-    elif args.format == "csv":
-        keys = list(doc)
-        _print_csv(args, keys, [["" if doc[k] is None else doc[k] for k in keys]])
-    else:
-        lines = [f"{k}: {v}" for k, v in doc.items() if v is not None]
-        _print(args, "\n".join(lines))
+    p1, p2 = _partition(args.partition1), _partition(args.partition2)
+    doc = classify(p1, p2).to_json_dict()
+    text = "\n".join(f"{k}: {v}" for k, v in doc.items() if v is not None)
+    _emit(args, doc, [doc], text)
     return 0
 
 
@@ -146,26 +139,16 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_betti(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise _UsageError(f"--n must be >= 1, got {args.n}")
-    pp = _poincare(args.genus, args.n)
-    if args.format == "json":
-        doc = {"g": args.genus, "n": args.n, "total": pp.total()}
-        if not args.sum:
-            doc["betti"] = list(pp.betti)
-        _print_json(args, doc)
-    elif args.format == "csv":
-        if args.sum:
-            _print_csv(args, ["g", "n", "total"], [[args.genus, args.n, pp.total()]])
-        else:
-            _print_csv(
-                args,
-                ["g", "n", "r", "betti"],
-                [[args.genus, args.n, r, b] for r, b in enumerate(pp.betti)],
-            )
+    g, n = args.genus, args.n
+    pp = _checked_poincare(g, n)
+    doc = {"g": g, "n": n, "total": pp.total()}
+    if args.sum:
+        rows, text = [doc], str(pp.total())
     else:
-        if args.sum:
-            _print(args, str(pp.total()))
-        else:
-            _print(args, ",".join(str(b) for b in pp.betti))
+        doc["betti"] = list(pp.betti)
+        rows = [{"g": g, "n": n, "r": r, "betti": b} for r, b in enumerate(pp.betti)]
+        text = ",".join(map(str, pp.betti))
+    _emit(args, doc, rows, text)
     return 0
 
 
@@ -178,26 +161,8 @@ def _cmd_dims(args: argparse.Namespace) -> int:
             f"--n must be >= 2 (the comparison is trivial below that), got {args.n}"
         )
     dims = compare_dimensions(args.genus, args.n)
-    total, sym, relation = dims.total_dim, dims.sym_dim, dims.relation.value
-    if args.format == "json":
-        _print_json(
-            args,
-            {
-                "g": args.genus,
-                "n": args.n,
-                "total_dim": total,
-                "sym_dim": sym,
-                "relation": relation,
-            },
-        )
-    elif args.format == "csv":
-        _print_csv(
-            args,
-            ["g", "n", "total_dim", "sym_dim", "relation"],
-            [[args.genus, args.n, total, sym, relation]],
-        )
-    else:
-        _print(args, f"{total},{sym},{relation}")
+    doc = {**asdict(dims), "relation": dims.relation.value}
+    _emit(args, doc, [doc], f"{dims.total_dim},{dims.sym_dim},{dims.relation.value}")
     return 0
 
 
@@ -208,10 +173,7 @@ def _cmd_factor(args: argparse.Namespace) -> int:
     if args.roundtrip is not None:
         return _factor_roundtrip(args)
     if args.partition is not None:
-        try:
-            p = parse_partition(args.partition)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
+        p = _partition(args.partition)
         shown = str(p)
         character = cohomology_character(p)
     else:
@@ -221,27 +183,28 @@ def _cmd_factor(args: argparse.Namespace) -> int:
             raise _UsageError(str(exc)) from None
         shown = args.char
     factors = factor_tensor_of_irreps(character)  # FactorizationError -> exit 1
-    if args.format == "json":
-        _print_json(
-            args,
-            {
-                "input": shown,
-                "character": str(character),
-                "factorization": str(factors),
-                "labels": list(factors),
-            },
-        )
-    elif args.format == "csv":
-        _print_csv(args, ["label", "multiplicity"], factors.counts())
-    else:
-        _print(args, str(factors))
+    doc = {
+        "input": shown,
+        "character": str(character),
+        "factorization": str(factors),
+        "labels": list(factors),
+    }
+    rows = [{"label": k, "multiplicity": m} for k, m in factors.counts()]
+    _emit(args, doc, rows, str(factors))
     return 0
+
+
+_ROUNDTRIP_LIMIT = 25
 
 
 def _factor_roundtrip(args: argparse.Namespace) -> int:
     limit = args.roundtrip
     if limit < 1:
         raise _UsageError(f"--roundtrip bound must be >= 1, got {limit}")
+    if limit > _ROUNDTRIP_LIMIT:
+        raise _UsageError(
+            f"--roundtrip bound {limit} exceeds the limit of {_ROUNDTRIP_LIMIT}"
+        )
     verified = 0
     for n in range(1, limit + 1):
         for labels in partitions(n):
@@ -253,76 +216,53 @@ def _factor_roundtrip(args: argparse.Namespace) -> int:
                 )
                 return 1
             verified += 1
-    if args.format == "json":
-        _print_json(args, {"limit": limit, "verified": verified, "ok": True})
-    elif args.format == "csv":
-        _print_csv(args, ["limit", "verified", "ok"], [[limit, verified, True]])
-    else:
-        _print(args, f"verified {verified} factorizations with sum <= {limit}")
+    doc = {"limit": limit, "verified": verified, "ok": True}
+    _emit(args, doc, [doc], f"verified {verified} factorizations with sum <= {limit}")
     return 0
 
 
 # -------------------------------------------------------- lefschetz-check
 
 
+_MODULE_DIM_LIMIT = 200_000
+
+
 def _cmd_lefschetz_check(args: argparse.Namespace) -> int:
     if (args.n is None) == (args.partition is None):
         raise _UsageError("give either a dimension N or --partition, not both")
     if args.partition is not None:
-        try:
-            p = parse_partition(args.partition)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
-        shown = str(p)
-        module = reduce(
-            tensor_modules, (build_cohomology_module(k) for k in p.parts)
-        )
-        expected_char = cohomology_character(p)
-        expect_irreducible = len(p) == 1
+        parts = _partition(args.partition).parts
+    elif args.n < 0:
+        raise _UsageError(f"dimension must be nonnegative, got {args.n}")
     else:
-        if args.n < 0:
-            raise _UsageError(f"dimension must be nonnegative, got {args.n}")
-        shown = str(args.n)
-        module = build_cohomology_module(args.n)
-        expected_char = irrep_character(args.n)
-        expect_irreducible = True
+        parts = (args.n,)
+    dim = prod(k + 1 for k in parts)
+    if dim > _MODULE_DIM_LIMIT:
+        raise _UsageError(
+            f"module of dimension {dim} exceeds the {_MODULE_DIM_LIMIT}-dimension guard"
+        )
+    module = reduce(tensor_modules, map(build_cohomology_module, parts))
+    expect_irreducible = len(parts) == 1
     report = verify_brackets(module)
     char = module_character(module)
-    char_ok = char == expected_char
+    char_ok = char == tensor_irreps_character(parts)
     irreducible = is_irreducible(module)
     ok = report.all_pass and char_ok and irreducible == expect_irreducible
-    if args.format == "json":
-        _print_json(
-            args,
-            {
-                "input": shown,
-                "dim": module.dim,
-                "checks": [c.to_json_dict() for c in report.checks],
-                "character": str(char),
-                "character_matches": char_ok,
-                "irreducible": irreducible,
-                "expected_irreducible": expect_irreducible,
-                "ok": ok,
-            },
-        )
-    elif args.format == "csv":
-        _print_csv(
-            args,
-            ["relation", "pass", "max_abs_discrepancy_numerator"],
-            [
-                [c.relation, c.passed, c.max_abs_discrepancy_numerator]
-                for c in report.checks
-            ],
-        )
-    else:
-        lines = [
-            f"{c.relation}: {'pass' if c.passed else 'FAIL'}" for c in report.checks
-        ]
-        lines.append(f"character: {char}")
-        lines.append(f"character_matches: {str(char_ok).lower()}")
-        lines.append(f"irreducible: {str(irreducible).lower()}")
-        lines.append(f"expected_irreducible: {str(expect_irreducible).lower()}")
-        _print(args, "\n".join(lines))
+    doc = {
+        "input": ",".join(map(str, parts)),
+        "dim": module.dim,
+        "checks": [c.to_json_dict() for c in report.checks],
+        "character": str(char),
+        "character_matches": char_ok,
+        "irreducible": irreducible,
+        "expected_irreducible": expect_irreducible,
+        "ok": ok,
+    }
+    lines = [f"{c.relation}: {'pass' if c.passed else 'FAIL'}" for c in report.checks]
+    lines.append(f"character: {char}")
+    for key in ("character_matches", "irreducible", "expected_irreducible"):
+        lines.append(f"{key}: {str(doc[key]).lower()}")
+    _emit(args, doc, doc["checks"], "\n".join(lines))
     return 0 if ok else 1
 
 
@@ -340,59 +280,33 @@ def _cmd_table(args: argparse.Namespace) -> int:
             f"table of {len(g_range)}x{len(n_range)} cells exceeds the "
             f"{_TABLE_CELL_LIMIT}-cell guard"
         )
-    rows = []
+    doc = []
     for g in g_range:
         for n in n_range:
-            pp = _poincare(g, n)
+            pp = _checked_poincare(g, n)
             dims = compare_dimensions(g, n)
             if pp.total() != dims.total_dim:
                 raise RuntimeError(
                     f"Betti sum {pp.total()} != dimension formula {dims.total_dim} "
                     f"at g={g}, n={n}"
                 )
-            rows.append(
-                (g, n, pp.betti, dims.total_dim, dims.sym_dim, dims.relation.value)
-            )
-    header = ["g", "n", "betti", "total_dim", "sym_dim", "relation"]
-    if args.format == "json":
-        _print_json(
-            args,
-            [
+            doc.append(
                 {
                     "g": g,
                     "n": n,
-                    "betti": list(betti),
-                    "total_dim": total,
-                    "sym_dim": sym,
-                    "relation": relation,
+                    "betti": list(pp.betti),
+                    "total_dim": dims.total_dim,
+                    "sym_dim": dims.sym_dim,
+                    "relation": dims.relation.value,
                 }
-                for g, n, betti, total, sym, relation in rows
-            ],
-        )
-    elif args.format == "csv":
-        _print_csv(
-            args,
-            header,
-            [
-                [g, n, ",".join(map(str, betti)), total, sym, relation]
-                for g, n, betti, total, sym, relation in rows
-            ],
-        )
-    else:
-        text_rows = [
-            [str(g), str(n), ",".join(map(str, betti)), str(total), str(sym), relation]
-            for g, n, betti, total, sym, relation in rows
-        ]
-        widths = [
-            max(len(header[i]), *(len(r[i]) for r in text_rows))
-            if text_rows
-            else len(header[i])
-            for i in range(len(header))
-        ]
-        lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-        for r in text_rows:
-            lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-        _print(args, "\n".join(lines))
+            )
+    rows = [{**cell, "betti": ",".join(map(str, cell["betti"]))} for cell in doc]
+    cells = [list(rows[0]), *([str(v) for v in row.values()] for row in rows)]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    text = "\n".join(
+        "  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() for line in cells
+    )
+    _emit(args, doc, rows, text)
     return 0
 
 

@@ -288,3 +288,24 @@ def test_large_input_finishes(args, code, line):
         assert proc.stdout == ""
     else:
         assert line in proc.stdout.splitlines()
+
+
+# Requests over a size limit are refused before any work is done.
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("lefschetz-check", "200000"),
+        ("lefschetz-check", "--partition", "7,7,7,7,7,7"),
+        ("factor", "--roundtrip", "26"),
+    ],
+)
+def test_size_limit_exits_2(args):
+    proc = subprocess.run(
+        [sys.executable, "-m", "multiproj", *args],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr

@@ -1,4 +1,5 @@
-"""Rules on the package source: no cache that grows without bound, no floats."""
+"""Rules on the package source: no cache that grows without bound, no floats,
+and one writer of the command line's stdout."""
 
 import ast
 from pathlib import Path
@@ -113,3 +114,61 @@ def test_no_floating_point(path):
 )
 def test_rule_detects_floating_point(source, flagged):
     assert bool(floating_point(ast.parse(source))) is flagged
+
+
+STDOUT_NAMES = {("sys", "stdout"), ("json", "dumps"), ("args", "format")}
+
+
+def output_outside_emit(tree):
+    """Line numbers of stdout writes and format choices outside ``_emit``.
+
+    Those are ``sys.stdout``, ``json.dumps``, any ``csv.`` name, ``print``
+    and ``args.format``.
+    """
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "_emit":
+            inside.update(map(id, ast.walk(node)))
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            pair = (node.value.id, node.attr)
+            if pair in STDOUT_NAMES or node.value.id == "csv":
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Name) and node.id == "print":
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_emit_writes_stdout():
+    path = Path(multiproj.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert output_outside_emit(tree) == []
+
+
+EMIT = (
+    "def _emit(args, doc, rows, text):\n"
+    "    if args.format == 'json':\n"
+    "        sys.stdout.write(json.dumps(doc))\n"
+    "    csv.DictWriter(sys.stdout, list(rows[0]))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "source,flagged",
+    [
+        (EMIT, False),
+        (EMIT + "def f(text):\n    sys.stdout.write(text)\n", True),
+        (EMIT + "def f(doc):\n    return json.dumps(doc)\n", True),
+        (EMIT + "def f(rows):\n    csv.writer(rows)\n", True),
+        (EMIT + "def f(text):\n    print(text)\n", True),
+        (EMIT + "def f(args):\n    return args.format == 'csv'\n", True),
+        (EMIT + "def f(text):\n    sys.stderr.write(text)\n", False),
+    ],
+    ids=["emit-only", "second-stdout-write", "json-dumps", "csv", "print",
+         "format-test", "stderr"],
+)
+def test_rule_detects_output_outside_emit(source, flagged):
+    assert bool(output_outside_emit(ast.parse(source))) is flagged
