@@ -17,8 +17,21 @@ Exit codes: 0 = result computed (including NON_ISOMORPHIC verdicts -- the
 answer to a question is not an error); 1 = domain failure (e.g. a character
 with no factorization into nontrivial irreducibles, or a failed expectation
 in lefschetz-check); 2 = usage or parse error.  Requests over a size limit
-are usage errors: a ``table`` of more than 10^4 cells, a ``lefschetz-check``
-module of dimension over 200000, and ``factor --roundtrip`` beyond 25.
+are usage errors, each sized by what it would print:
+
+* ``table``: more than 10^4 cells;
+* ``betti`` and every ``table`` cell: a Betti row of more than 4001 numbers
+  (n > 2000), or of more than 10^5 digits;
+* ``betti``, ``dims`` and every ``table`` cell: a number of more than 4000
+  digits (Python's int-to-str conversion stops at 4300);
+* ``classify`` and ``factor``: a character of top degree over 2000 (dense
+  length 2001);
+* ``lefschetz-check``: a module of dimension over 200000;
+* ``factor --roundtrip``: a bound beyond 25.
+
+Every number betti, dims and table print is at most dim Sym^n(H*(C)) =
+C(2g+n+1, n) (the dims comparison), so the digit limits are checked on the
+digits of that binomial, and on 2n + 1 times them for a row.
 """
 
 from __future__ import annotations
@@ -107,6 +120,57 @@ def _partition(text: str) -> Partition:
         raise _UsageError(str(exc)) from None
 
 
+_CHARACTER_DEGREE_LIMIT = 2000
+
+
+def _check_degree(top: int) -> None:
+    """Refuse a character of top degree over the limit (dense length top + 1)."""
+    if top > _CHARACTER_DEGREE_LIMIT:
+        raise _UsageError(
+            f"character of top degree {top} exceeds the "
+            f"{_CHARACTER_DEGREE_LIMIT}-degree limit"
+        )
+
+
+_ROW_LIMIT = 4001
+_ROW_DIGIT_LIMIT = 100_000
+_DIGIT_LIMIT = 4000
+
+
+def _more_digits(g: int, n: int, digits: int) -> bool:
+    """Whether C(2g+n+1, n) has more than ``digits`` digits.
+
+    b runs through C(a - k + i, i) for i = 1..k, the last being C(a, k) with
+    k = min(n, 2g+1) <= a/2, so b at least doubles at each step and the loop
+    stops within about 3.3 * digits steps of reaching the bound.
+    """
+    a, k = 2 * g + n + 1, min(n, 2 * g + 1)
+    bound, b = 10**digits, 1
+    for i in range(1, k + 1):
+        b = b * (a - k + i) // i
+        if b >= bound:
+            return True
+    return False
+
+
+def _check_size(g: int, n: int, row: bool) -> None:
+    """Refuse a (g, n) request over the number, row or row-digit limit."""
+    if row and 2 * n + 1 > _ROW_LIMIT:
+        raise _UsageError(
+            f"Betti row of {2 * n + 1} numbers (n = {n}) exceeds the "
+            f"{_ROW_LIMIT}-number limit"
+        )
+    if _more_digits(g, n, _DIGIT_LIMIT):
+        raise _UsageError(
+            f"g = {g}, n = {n} needs numbers of more than {_DIGIT_LIMIT} digits"
+        )
+    if row and _more_digits(g, n, _ROW_DIGIT_LIMIT // (2 * n + 1)):
+        raise _UsageError(
+            f"Betti row for g = {g}, n = {n} may exceed the "
+            f"{_ROW_DIGIT_LIMIT}-digit limit"
+        )
+
+
 def _checked_poincare(g: int, n: int):
     """``poincare_polynomial``, its series (g >= 1) checked against the closed form."""
     pp = poincare_polynomial(g, n)
@@ -127,6 +191,7 @@ def _checked_poincare(g: int, n: int):
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     p1, p2 = _partition(args.partition1), _partition(args.partition2)
+    _check_degree(max(p1.n, p2.n))
     doc = classify(p1, p2).to_json_dict()
     text = "\n".join(f"{k}: {v}" for k, v in doc.items() if v is not None)
     _emit(args, doc, [doc], text)
@@ -140,6 +205,7 @@ def _cmd_betti(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise _UsageError(f"--n must be >= 1, got {args.n}")
     g, n = args.genus, args.n
+    _check_size(g, n, row=True)
     pp = _checked_poincare(g, n)
     doc = {"g": g, "n": n, "total": pp.total()}
     if args.sum:
@@ -160,6 +226,7 @@ def _cmd_dims(args: argparse.Namespace) -> int:
         raise _UsageError(
             f"--n must be >= 2 (the comparison is trivial below that), got {args.n}"
         )
+    _check_size(args.genus, args.n, row=False)
     dims = compare_dimensions(args.genus, args.n)
     doc = {**asdict(dims), "relation": dims.relation.value}
     _emit(args, doc, [doc], f"{dims.total_dim},{dims.sym_dim},{dims.relation.value}")
@@ -174,6 +241,7 @@ def _cmd_factor(args: argparse.Namespace) -> int:
         return _factor_roundtrip(args)
     if args.partition is not None:
         p = _partition(args.partition)
+        _check_degree(p.n)
         shown = str(p)
         character = cohomology_character(p)
     else:
@@ -181,6 +249,8 @@ def _cmd_factor(args: argparse.Namespace) -> int:
             character = Character(LaurentPoly.parse(args.char))
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
+        if character.poly:  # the zero character has no degree; factor refuses it
+            _check_degree(character.top_degree)
         shown = args.char
     factors = factor_tensor_of_irreps(character)  # FactorizationError -> exit 1
     doc = {
@@ -280,6 +350,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
             f"table of {len(g_range)}x{len(n_range)} cells exceeds the "
             f"{_TABLE_CELL_LIMIT}-cell guard"
         )
+    _check_size(g_range[-1], n_range[-1], row=True)  # the largest cell
     doc = []
     for g in g_range:
         for n in n_range:

@@ -16,7 +16,7 @@ Matrix entries are exact: Python ints, with a Fraction only for a value that
 is not integral, so the modules built here never leave the integers.  Bracket
 verification, character extraction, Kuenneth tensor products and the
 irreducibility test (kernel of X plus the Y-orbit of a highest-weight vector)
-are all exact; ranks and kernels come from one fraction-free forward
+are all exact; ranks and kernels come from one sparse primitive-row
 elimination over the integers.
 """
 
@@ -185,33 +185,43 @@ class RatMatrix:
             )
 
 
-def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[int], list[list[int]]]:
-    """Pivot columns and echelon rows of an integer matrix.
+def _echelon(rows: Iterable[Mapping]) -> tuple[list[int], list[dict]]:
+    """Pivot columns and echelon rows of a sparse integer matrix, in pivot order.
 
-    Forward-only fraction-free (Bareiss) elimination: every division is exact,
-    so the entries stay integers, and the echelon rows have the kernel of the
-    input.  The rank is the number of pivots.
+    Sparse primitive-row elimination: each row (column -> int) is reduced by
+    the pivot rows found so far, leading column first, as a*row - b*pivot_row
+    (a, b the two leading entries over their gcd), then divided by its
+    content.  Only integers occur, the input is not changed, the echelon rows
+    have the kernel of the input, and the rank is the number of pivots.
     """
-    rows = list(rows)  # rows are replaced below, never changed in place
-    pivots: list[int] = []
-    prev = 1
-    for col in range(ncols):
-        rank = len(pivots)
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        p = rows[rank][col]
-        zeros, tail = [0] * (col + 1), rows[rank][col + 1 :]
-        for i in range(rank + 1, len(rows)):
-            f, ri = rows[i][col], rows[i][col + 1 :]
-            rows[i] = zeros + [(p * a - f * b) // prev for a, b in zip(ri, tail)]
-        prev = p
-        pivots.append(col)
-    return pivots, rows[: len(pivots)]
+    by_lead: dict[int, dict[int, int]] = {}
+    for row in rows:
+        row = {c: v for c, v in row.items() if v}
+        while row:
+            g = math.gcd(*row.values())
+            if g > 1:
+                row = {c: v // g for c, v in row.items()}
+            lead = min(row)
+            pivot_row = by_lead.get(lead)
+            if pivot_row is None:
+                by_lead[lead] = row
+                break
+            g = math.gcd(pivot_row[lead], row[lead])
+            a, b = pivot_row[lead] // g, row[lead] // g
+            if a != 1:
+                for c in row:  # row is this call's own copy, so update it in place
+                    row[c] *= a
+            for c, v in pivot_row.items():
+                s = row.get(c, 0) - b * v
+                if s:
+                    row[c] = s
+                else:
+                    del row[c]
+    pivots = sorted(by_lead)
+    return pivots, [by_lead[c] for c in pivots]
 
 
-def _kernel_vector(pivots: list[int], rows: list[list[int]], ncols: int) -> list[int]:
+def _kernel_vector(pivots: list[int], rows: list[dict], ncols: int) -> list[int]:
     """A nonzero integer kernel vector of echelon rows with a free column.
 
     The first free column is 1, the other free columns 0; back-substitution
@@ -221,7 +231,7 @@ def _kernel_vector(pivots: list[int], rows: list[list[int]], ncols: int) -> list
     vec = [0] * ncols
     vec[next(c for c in range(ncols) if c not in pivot_set)] = 1
     for col, row in zip(reversed(pivots), reversed(rows)):
-        s = sum(a * v for a, v in zip(row, vec) if v)
+        s = sum(a * vec[c] for c, a in row.items())
         g = math.gcd(s, row[col])
         if row[col] != g:
             vec = [row[col] // g * v for v in vec]
@@ -337,19 +347,17 @@ def verify_brackets(m: Sl2MatrixModule) -> BracketReport:
 def tensor_modules(a: Sl2MatrixModule, b: Sl2MatrixModule) -> Sl2MatrixModule:
     """Kuenneth tensor product, operators acting by the Leibniz rule.
 
-    X, Y, H each become op (x) 1 + 1 (x) op, so the weights add and the
-    bracket relations are preserved.
+    X and Y each become op (x) 1 + 1 (x) op and H the diagonal of the summed
+    weights (= H (x) 1 + 1 (x) H), so the bracket relations are preserved.
     """
     ia = RatMatrix.identity(a.dim)
     ib = RatMatrix.identity(b.dim)
-    weights = tuple(
-        wa + wb for wa in a.basis_weights for wb in b.basis_weights
-    )
+    weights = tuple(wa + wb for wa in a.basis_weights for wb in b.basis_weights)
     return Sl2MatrixModule(
         dim=a.dim * b.dim,
         X=a.X.kron(ib) + ia.kron(b.X),
         Y=a.Y.kron(ib) + ia.kron(b.Y),
-        H=a.H.kron(ib) + ia.kron(b.H),
+        H=RatMatrix.diagonal(weights),
         basis_weights=weights,
     )
 
@@ -369,25 +377,17 @@ def _weight_indices(m: Sl2MatrixModule) -> dict[int, list[int]]:
     return spaces
 
 
-def _x_block(
-    m: Sl2MatrixModule, spaces: dict[int, list[int]], w: int
-) -> list[list[int]]:
-    """X on the weight-w space, as integer rows over the weight-(w+2) basis.
+def _x_block(m: Sl2MatrixModule, spaces: dict[int, list[int]], w: int):
+    """X on the weight-w space, one sparse row per weight-(w+2) basis vector.
 
-    A row with Fraction entries is scaled by the lcm of their denominators,
-    which keeps the kernel; zero rows are left out.
+    Columns are positions in the weight-w basis; a row with Fraction entries
+    is scaled by the lcm of their denominators, which keeps the kernel.
     """
     pos = {c: k for k, c in enumerate(spaces[w])}
-    block = []
     for r in spaces.get(w + 2, ()):
         items = m.X.row_items(r)
-        if items:
-            scale = math.lcm(*(v.denominator for _, v in items))
-            row = [0] * len(pos)
-            for j, v in items:
-                row[pos[j]] = int(v * scale)
-            block.append(row)
-    return block
+        scale = math.lcm(*(v.denominator for _, v in items))
+        yield {pos[j]: int(v * scale) for j, v in items}
 
 
 def _x_kernel_dims(m: Sl2MatrixModule, spaces: dict[int, list[int]]):
@@ -397,7 +397,7 @@ def _x_kernel_dims(m: Sl2MatrixModule, spaces: dict[int, list[int]]):
     two give a kernel vector without a second elimination.
     """
     for w in sorted(spaces, reverse=True):
-        pivots, rows = _echelon(_x_block(m, spaces, w), len(spaces[w]))
+        pivots, rows = _echelon(_x_block(m, spaces, w))
         yield w, len(spaces[w]) - len(pivots), pivots, rows
 
 

@@ -181,17 +181,33 @@ def clebsch_gordan_decompose(c: Character) -> IrrepMultiset:
 
 
 def partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Partitions of n as descending tuples, in decreasing lexicographic order."""
+    """Partitions of n as descending tuples, in decreasing lexicographic order.
+
+    Parts are at most max_part (default n).  Each partition follows from the
+    last without recursion: the last part above 1 drops by one, and the
+    trailing 1s plus the one it lost are refilled greedily with parts no
+    larger than it.
+    """
     if n < 0:
         raise ValueError(f"cannot partition a negative integer: {n}")
-    if n == 0:
-        yield ()
-        return
     if max_part is None or max_part > n:
         max_part = n
-    for first in range(max_part, 0, -1):
-        for rest in partitions(n - first, first):
-            yield (first,) + rest
+    if n and max_part < 1:
+        return
+    parts: list[int] = []
+    rest, cap = n, max_part
+    while True:
+        if rest:
+            q, r = divmod(rest, cap)
+            parts += [cap] * q + ([r] if r else [])
+        yield tuple(parts)
+        rest = 0
+        while parts and parts[-1] == 1:
+            rest += parts.pop()
+        if not parts:
+            return
+        parts[-1] -= 1
+        cap, rest = parts[-1], rest + 1
 
 
 def factor_tensor_of_irreps(c: Character) -> IrrepMultiset:

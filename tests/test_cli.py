@@ -1,17 +1,20 @@
 """CLI contract: documented commands, exit codes, formats, determinism.
 
-Everything here shells out to ``python -m multiproj`` so the entry point,
-argument parsing, and stream handling are exercised exactly as a user would
-hit them.
+Almost everything here shells out to ``python -m multiproj`` so the entry
+point, argument parsing, and stream handling are exercised exactly as a user
+would hit them.  The boundary tests of the size limits run ``cli.main``
+in-process, so that each limit can be lowered to a cheap value.
 """
 
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 from jsonschema import validate
 
+from multiproj import cli
 from multiproj.symcurve import total_dim_cohomology
 
 VERDICT_SCHEMA = {
@@ -297,6 +300,13 @@ def test_large_input_finishes(args, code, line):
         ("lefschetz-check", "200000"),
         ("lefschetz-check", "--partition", "7,7,7,7,7,7"),
         ("factor", "--roundtrip", "26"),
+        ("betti", "--genus", "1", "--n", "30000"),
+        ("betti", "--genus", "10000", "--n", "2000"),
+        ("dims", "--genus", "100000000", "--n", "100000000"),
+        ("table", "--genus", "1..2", "--n", "1999..2001"),
+        ("factor", "--char", "q^100000000 + q^-100000000"),
+        ("factor", "--partition", "1000,1001"),
+        ("classify", "2001", "2000,1"),
     ],
 )
 def test_size_limit_exits_2(args):
@@ -309,3 +319,64 @@ def test_size_limit_exits_2(args):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+def test_zero_character_is_a_domain_error():
+    proc = run("factor", "--char", "0")
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "error: not a tensor of nontrivial irreducibles: dimension 0 < 2\n"
+    )
+
+
+def test_limits_are_the_documented_ones():
+    assert (
+        cli._TABLE_CELL_LIMIT,
+        cli._MODULE_DIM_LIMIT,
+        cli._ROUNDTRIP_LIMIT,
+        cli._ROW_LIMIT,
+        cli._ROW_DIGIT_LIMIT,
+        cli._DIGIT_LIMIT,
+        cli._CHARACTER_DEGREE_LIMIT,
+    ) == (10_000, 200_000, 25, 4001, 100_000, 4000, 2000)
+
+
+def test_digit_bound_is_exact():
+    for g in range(0, 12):
+        for n in range(1, 40):
+            digits = len(str(math.comb(2 * g + n + 1, n)))
+            assert not cli._more_digits(g, n, digits)
+            assert cli._more_digits(g, n, digits - 1)
+
+
+# Each limit lowered to the size of a cheap request: at the limit the request
+# is answered, one below it (the request one past the limit) it is refused.
+@pytest.mark.parametrize(
+    "name,limit,args",
+    [
+        ("_MODULE_DIM_LIMIT", 64, ("lefschetz-check", "--partition", "3,3,3")),
+        ("_MODULE_DIM_LIMIT", 8, ("lefschetz-check", "7")),
+        ("_ROUNDTRIP_LIMIT", 3, ("factor", "--roundtrip", "3")),
+        ("_TABLE_CELL_LIMIT", 6, ("table", "--genus", "0..1", "--n", "1..3")),
+        ("_ROW_LIMIT", 5, ("betti", "--genus", "1", "--n", "2")),
+        ("_ROW_LIMIT", 7, ("table", "--genus", "0..1", "--n", "1..3")),
+        # C(5, 2) = 10: two digits, five of them in the row
+        ("_ROW_DIGIT_LIMIT", 10, ("betti", "--genus", "1", "--n", "2")),
+        # C(8, 3) = 56
+        ("_DIGIT_LIMIT", 2, ("dims", "--genus", "2", "--n", "3")),
+        # C(11, 4) = 330 at the largest cell (g, n) = (3, 4)
+        ("_DIGIT_LIMIT", 3, ("table", "--genus", "1..3", "--n", "1..4")),
+        ("_CHARACTER_DEGREE_LIMIT", 3, ("factor", "--partition", "2,1")),
+        ("_CHARACTER_DEGREE_LIMIT", 2, ("factor", "--char", "q^2 + 2 + q^-2")),
+        ("_CHARACTER_DEGREE_LIMIT", 3, ("classify", "2,1", "1,1,1")),
+    ],
+)
+def test_limit_boundary(monkeypatch, capsys, name, limit, args):
+    monkeypatch.setattr(cli, name, limit)
+    assert cli.main([*args, "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    monkeypatch.setattr(cli, name, limit - 1)
+    assert cli.main(list(args)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and str(limit - 1) in err

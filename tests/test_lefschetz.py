@@ -3,8 +3,11 @@
 import cProfile
 import pstats
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 
 import pytest
 
@@ -12,6 +15,8 @@ from multiproj.lefschetz import (
     RatMatrix,
     _echelon,
     _kernel_vector,
+    _weight_indices,
+    _x_block,
     Sl2MatrixModule,
     build_cohomology_module,
     highest_weight_multiplicities,
@@ -32,8 +37,36 @@ def tensor_of(parts):
     return reduce(tensor_modules, (build_cohomology_module(k) for k in parts))
 
 
-# The two eliminators the package used before one forward fraction-free
-# elimination replaced them; they serve as oracles for rank and kernel.
+# The eliminators the package used before sparse primitive-row elimination
+# replaced them; they serve as oracles for rank and kernel.
+
+
+def dense_echelon(
+    rows: list[list[int]], ncols: int
+) -> tuple[list[int], list[list[int]]]:
+    """Pivot columns and echelon rows of an integer matrix.
+
+    Forward-only fraction-free (Bareiss) elimination: every division is exact,
+    so the entries stay integers, and the echelon rows have the kernel of the
+    input.  The rank is the number of pivots.
+    """
+    rows = list(rows)  # rows are replaced below, never changed in place
+    pivots: list[int] = []
+    prev = 1
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        p = rows[rank][col]
+        zeros, tail = [0] * (col + 1), rows[rank][col + 1 :]
+        for i in range(rank + 1, len(rows)):
+            f, ri = rows[i][col], rows[i][col + 1 :]
+            rows[i] = zeros + [(p * a - f * b) // prev for a, b in zip(ri, tail)]
+        prev = p
+        pivots.append(col)
+    return pivots, rows[: len(pivots)]
 
 
 def _rank(rows: list[list[int]], ncols: int) -> int:
@@ -290,6 +323,33 @@ class TestHighestWeight:
             assert highest_weight_multiplicities(module) == dict(cg.counts())
 
 
+# The library twin of tests/test_cli.py::test_large_input_finishes, under the
+# same 10 s subprocess timeout (about 13 s with the dense Bareiss eliminator).
+LARGE_TENSOR = """
+from functools import reduce
+from multiproj.lefschetz import (
+    build_cohomology_module, highest_weight_multiplicities, module_character,
+    tensor_modules,
+)
+from multiproj.sl2rep import clebsch_gordan_decompose
+m = reduce(tensor_modules, map(build_cohomology_module, (4, 4, 4, 4, 4)))
+cg = clebsch_gordan_decompose(module_character(m))
+assert highest_weight_multiplicities(m) == dict(cg.counts())
+print(m.dim)
+"""
+
+
+def test_large_tensor_multiplicities_finish():
+    proc = subprocess.run(
+        [sys.executable, "-c", LARGE_TENSOR],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "3125\n"
+
+
 def random_integer_rows(rng, nrows, ncols):
     """Rows with entries in -3..3, some forced zero or combinations of others."""
     rows = []
@@ -314,9 +374,9 @@ class TestEliminator:
         for _ in range(3000):
             nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
             rows = random_integer_rows(rng, nrows, ncols)
-            pivots, echelon = _echelon(rows, ncols)
+            pivots, echelon = _echelon([dict(enumerate(r)) for r in rows])
             rank = _rank(rows, ncols)
-            assert len(pivots) == rank
+            assert len(pivots) == rank == len(dense_echelon(rows, ncols)[0])
             deficient += rank < min(nrows, ncols)
             basis = _nullspace([[Fraction(v) for v in r] for r in rows], ncols)
             assert ncols - rank == len(basis)
@@ -325,6 +385,32 @@ class TestEliminator:
                 assert all(type(v) is int for v in vec) and any(vec)
                 assert all(sum(a * v for a, v in zip(r, vec)) == 0 for r in rows)
         assert deficient > 500  # zero and dependent rows really occur
+
+    def test_agrees_on_module_blocks(self):
+        # every X weight block of the tensor modules with 3-4 factors, parts 2..4
+        blocks = 0
+        for parts in [t for r in (3, 4) for t in product(range(2, 5), repeat=r)]:
+            m = tensor_of(parts)
+            spaces = _weight_indices(m)
+            for w, cols in spaces.items():
+                block = list(_x_block(m, spaces, w))
+                dense = [[row.get(c, 0) for c in range(len(cols))] for row in block]
+                pivots, echelon = _echelon(block)
+                assert len(pivots) == len(dense_echelon(dense, len(cols))[0])
+                if len(pivots) < len(cols):
+                    vec = _kernel_vector(pivots, echelon, len(cols))
+                    assert any(vec)
+                    assert all(sum(a * v for a, v in zip(r, vec)) == 0 for r in dense)
+                blocks += 1
+        assert blocks > 1000
+
+    def test_input_rows_unchanged(self):
+        rows = [{0: 2, 1: 4, 3: 0}, {0: 3, 2: 1}, {0: 6, 1: 12, 3: 0}, {}]
+        before = [dict(r) for r in rows]
+        pivots, echelon = _echelon(rows)
+        assert rows == before
+        assert pivots == [0, 1]
+        assert all(r is not e for r in rows for e in echelon)
 
     @pytest.mark.parametrize(
         "parts,factor",

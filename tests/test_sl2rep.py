@@ -23,6 +23,20 @@ def char_of(text):
     return Character(LaurentPoly.parse(text))
 
 
+def recursive_partitions(n, max_part=None):
+    """The recursive enumeration ``partitions`` replaced; the order oracle."""
+    if n < 0:
+        raise ValueError(f"cannot partition a negative integer: {n}")
+    if n == 0:
+        yield ()
+        return
+    if max_part is None or max_part > n:
+        max_part = n
+    for first in range(max_part, 0, -1):
+        for rest in recursive_partitions(n - first, first):
+            yield (first,) + rest
+
+
 def search_factorization(c):
     """Exhaustive oracle: the partition of the top degree whose tensor is c.
 
@@ -265,6 +279,16 @@ class TestPartitions:
         # p(1..10) = 1, 2, 3, 5, 7, 11, 15, 22, 30, 42
         expected = [1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
         assert [len(list(partitions(n))) for n in range(1, 11)] == expected
+
+    @pytest.mark.parametrize("n", range(0, 21))
+    def test_agrees_with_recursive_enumeration(self, n):
+        for max_part in (None, -1, 0, *range(1, n + 2)):
+            assert list(partitions(n, max_part)) == list(
+                recursive_partitions(n, max_part)
+            )
+
+    def test_many_parts_without_recursion(self):
+        assert next(partitions(5000, 1)) == (1,) * 5000
 
 
 @given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4))
