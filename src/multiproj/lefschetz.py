@@ -17,7 +17,8 @@ is not integral, so the modules built here never leave the integers.  Bracket
 verification, character extraction, Kuenneth tensor products and the
 irreducibility test (kernel of X plus the Y-orbit of a highest-weight vector)
 are all exact; ranks and kernels come from one sparse primitive-row
-elimination over the integers.
+elimination over the integers.  The brackets are checked and the tensor
+products built one row at a time, so no whole-matrix product is ever formed.
 """
 
 from __future__ import annotations
@@ -42,11 +43,13 @@ def _exact(v: object) -> int | Fraction:
 
 
 class RatMatrix:
-    """Sparse exact matrix, immutable by convention.
+    """Sparse exact matrix storage, immutable by convention.
 
     An integral entry is stored as an int (a Fraction with denominator 1 as
     its numerator); only a non-integral value stays a Fraction.  Floats and
-    strings are refused, and arithmetic on integer matrices stays in int.
+    strings are refused.  Apart from ``apply`` there is no arithmetic: the
+    whole-matrix sums, products and Kronecker products live in the tests, as
+    the oracle of the row-by-row ``verify_brackets`` and ``tensor_modules``.
     """
 
     __slots__ = ("nrows", "ncols", "_rows")
@@ -72,12 +75,11 @@ class RatMatrix:
         self._rows = rows
 
     @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "RatMatrix":
-        return cls(nrows, ncols)
-
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls(n, n, {(i, i): 1 for i in range(n)})
+    def _from_rows(cls, ncols: int, rows: list[dict]) -> "RatMatrix":
+        """A matrix on rows that already hold exact nonzero entries in range."""
+        m = cls.__new__(cls)
+        m.nrows, m.ncols, m._rows = len(rows), ncols, rows
+        return m
 
     @classmethod
     def diagonal(cls, values: Sequence[int | Fraction]) -> "RatMatrix":
@@ -93,9 +95,6 @@ class RatMatrix:
     def is_zero(self) -> bool:
         return all(not row for row in self._rows)
 
-    def max_abs_entry(self) -> int | Fraction:
-        return max((abs(v) for row in self._rows for v in row.values()), default=0)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatMatrix):
             return NotImplemented
@@ -104,50 +103,6 @@ class RatMatrix:
             and self.ncols == other.ncols
             and self._rows == other._rows
         )
-
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        self._check_shape(other)
-        out = RatMatrix(self.nrows, self.ncols)
-        for i in range(self.nrows):
-            row = dict(self._rows[i])
-            for j, v in other._rows[i].items():
-                s = row.get(j, 0) + v
-                if s:
-                    row[j] = s
-                else:
-                    row.pop(j, None)
-            out._rows[i] = row
-        return out
-
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        return self + other.scale(-1)
-
-    def scale(self, factor: int | Fraction) -> "RatMatrix":
-        factor = _exact(factor)
-        out = RatMatrix(self.nrows, self.ncols)
-        if factor:
-            for i in range(self.nrows):
-                out._rows[i] = {j: factor * v for j, v in self._rows[i].items()}
-        return out
-
-    def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError(
-                f"cannot multiply {self.nrows}x{self.ncols} by "
-                f"{other.nrows}x{other.ncols}"
-            )
-        out = RatMatrix(self.nrows, other.ncols)
-        for i in range(self.nrows):
-            acc: dict[int, int | Fraction] = {}
-            for k, a in self._rows[i].items():
-                for j, b in other._rows[k].items():
-                    s = acc.get(j, 0) + a * b
-                    if s:
-                        acc[j] = s
-                    else:
-                        acc.pop(j, None)
-            out._rows[i] = acc
-        return out
 
     def apply(self, vec: Mapping[int, int | Fraction]) -> dict[int, int | Fraction]:
         """Sparse matrix-vector product (vec maps index -> coefficient)."""
@@ -162,27 +117,9 @@ class RatMatrix:
                 out[i] = s
         return out
 
-    def kron(self, other: "RatMatrix") -> "RatMatrix":
-        """Kronecker product; index (i, j) of the factors maps to i*other_dim + j."""
-        out = RatMatrix(self.nrows * other.nrows, self.ncols * other.ncols)
-        for i in range(self.nrows):
-            for j, a in self._rows[i].items():
-                for k in range(other.nrows):
-                    row = out._rows[i * other.nrows + k]
-                    for l, b in other._rows[k].items():
-                        row[j * other.ncols + l] = a * b
-        return out
-
     def __repr__(self) -> str:
         nnz = sum(len(r) for r in self._rows)
         return f"<RatMatrix {self.nrows}x{self.ncols}, {nnz} nonzero>"
-
-    def _check_shape(self, other: "RatMatrix") -> None:
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ValueError(
-                f"shape mismatch: {self.nrows}x{self.ncols} vs "
-                f"{other.nrows}x{other.ncols}"
-            )
 
 
 def _echelon(rows: Iterable[Mapping]) -> tuple[list[int], list[dict]]:
@@ -331,35 +268,75 @@ class BracketReport:
 
 
 def verify_brackets(m: Sl2MatrixModule) -> BracketReport:
-    """Check [X,Y]=H, [H,X]=2X, [H,Y]=-2Y as exact matrix identities."""
-    cases = (
-        ("XY-YX=H", m.X @ m.Y - m.Y @ m.X, m.H),
-        ("HX-XH=2X", m.H @ m.X - m.X @ m.H, m.X.scale(2)),
-        ("HY-YH=-2Y", m.H @ m.Y - m.Y @ m.H, m.Y.scale(-2)),
+    """Check [X,Y]=H, [H,X]=2X, [H,Y]=-2Y as exact matrix identities.
+
+    Each check reports the numerator of its largest |entry| of lhs - rhs.
+    Row i of XY - YX - H is X's row i times Y's rows, minus Y's row i times
+    X's rows, minus H_ii at column i; only the running maximum outlives the
+    row.  H = diag(basis_weights) (the module enforces it), so the gap of
+    [H,X] = 2X is (w_i - w_j - 2) X_ij entrywise, and that of [H,Y] = -2Y is
+    (w_i - w_j + 2) Y_ij: one pass over the nonzeros each.
+    """
+    w = m.basis_weights
+    x_rows, y_rows = m.X._rows, m.Y._rows
+    xy = 0
+    for i in range(m.dim):
+        row = {i: -w[i]}
+        for k, a in x_rows[i].items():
+            for j, b in y_rows[k].items():
+                row[j] = row.get(j, 0) + a * b
+        for k, a in y_rows[i].items():
+            for j, b in x_rows[k].items():
+                row[j] = row.get(j, 0) - a * b
+        xy = max(xy, *map(abs, row.values()))
+    gaps = [("XY-YX=H", xy)]
+    for name, rows, shift in (("HX-XH=2X", x_rows, 2), ("HY-YH=-2Y", y_rows, -2)):
+        terms = (
+            (w[i] - w[j] - shift) * v
+            for i, row in enumerate(rows)
+            for j, v in row.items()
+        )
+        gaps.append((name, max(map(abs, terms), default=0)))
+    return BracketReport(
+        tuple(RelationCheck(name, gap == 0, gap.numerator) for name, gap in gaps)
     )
-    checks = []
-    for name, lhs, rhs in cases:
-        gap = (lhs - rhs).max_abs_entry()
-        checks.append(RelationCheck(name, gap == 0, gap.numerator))
-    return BracketReport(tuple(checks))
 
 
 def tensor_modules(a: Sl2MatrixModule, b: Sl2MatrixModule) -> Sl2MatrixModule:
     """Kuenneth tensor product, operators acting by the Leibniz rule.
 
-    X and Y each become op (x) 1 + 1 (x) op and H the diagonal of the summed
-    weights (= H (x) 1 + 1 (x) H), so the bracket relations are preserved.
+    X and Y each become op (x) 1 + 1 (x) op, built row by row, and H the
+    diagonal of the summed weights (= H (x) 1 + 1 (x) H), so the bracket
+    relations are preserved.  Basis vector (i, k) has index i * b.dim + k.
     """
-    ia = RatMatrix.identity(a.dim)
-    ib = RatMatrix.identity(b.dim)
     weights = tuple(wa + wb for wa in a.basis_weights for wb in b.basis_weights)
     return Sl2MatrixModule(
         dim=a.dim * b.dim,
-        X=a.X.kron(ib) + ia.kron(b.X),
-        Y=a.Y.kron(ib) + ia.kron(b.Y),
+        X=_leibniz(a.X, b.X),
+        Y=_leibniz(a.Y, b.Y),
         H=RatMatrix.diagonal(weights),
         basis_weights=weights,
     )
+
+
+def _leibniz(p: RatMatrix, q: RatMatrix) -> RatMatrix:
+    """p (x) 1 + 1 (x) q for square p and q, one row at a time.
+
+    Row (i, k) is p's row i at columns j * dim_q + k together with q's row k
+    at columns i * dim_q + l.  The two parts never share a column, since that
+    needs j = i: X and Y shift the weight by 2, so they have no diagonal
+    entries (Sl2MatrixModule enforces it).
+    """
+    dq = q.nrows
+    rows = []
+    for i, p_row in enumerate(p._rows):
+        strided = [(j * dq, v) for j, v in p_row.items()]
+        base = i * dq
+        for k, q_row in enumerate(q._rows):
+            row = {j + k: v for j, v in strided}
+            row.update({base + l: v for l, v in q_row.items()})
+            rows.append(row)
+    return RatMatrix._from_rows(p.ncols * dq, rows)
 
 
 def module_character(m: Sl2MatrixModule) -> Character:

@@ -1,10 +1,12 @@
 """Matrix modules: construction, brackets, tensor products, irreducibility."""
 
 import cProfile
+import dataclasses
 import pstats
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -12,7 +14,9 @@ from itertools import product
 import pytest
 
 from multiproj.lefschetz import (
+    BracketReport,
     RatMatrix,
+    RelationCheck,
     _echelon,
     _kernel_vector,
     _weight_indices,
@@ -35,6 +39,111 @@ from multiproj.sl2rep import (
 
 def tensor_of(parts):
     return reduce(tensor_modules, (build_cohomology_module(k) for k in parts))
+
+
+# The whole-matrix algebra RatMatrix had before verify_brackets and
+# tensor_modules worked one row at a time; it serves as their oracle.
+
+
+def _matrix(nrows, ncols, rows):
+    """A RatMatrix from dict rows, through the validating constructor."""
+    entries = {(i, j): v for i, row in enumerate(rows) for j, v in row.items()}
+    return RatMatrix(nrows, ncols, entries)
+
+
+def _rows(a):
+    return [dict(a.row_items(i)) for i in range(a.nrows)]
+
+
+def identity(n):
+    return RatMatrix(n, n, {(i, i): 1 for i in range(n)})
+
+
+def add(a, b):
+    if a.nrows != b.nrows or a.ncols != b.ncols:
+        raise ValueError(
+            f"shape mismatch: {a.nrows}x{a.ncols} vs {b.nrows}x{b.ncols}"
+        )
+    rows = _rows(a)
+    for row, other in zip(rows, _rows(b)):
+        for j, v in other.items():
+            row[j] = row.get(j, 0) + v
+    return _matrix(a.nrows, a.ncols, rows)
+
+
+def scale(a, factor):
+    return _matrix(
+        a.nrows, a.ncols, [{j: factor * v for j, v in r.items()} for r in _rows(a)]
+    )
+
+
+def sub(a, b):
+    return add(a, scale(b, -1))
+
+
+def matmul(a, b):
+    if a.ncols != b.nrows:
+        raise ValueError(
+            f"cannot multiply {a.nrows}x{a.ncols} by {b.nrows}x{b.ncols}"
+        )
+    b_rows = _rows(b)
+    rows = []
+    for a_row in _rows(a):
+        acc = {}
+        for k, x in a_row.items():
+            for j, y in b_rows[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        rows.append(acc)
+    return _matrix(a.nrows, b.ncols, rows)
+
+
+def kron(a, b):
+    """Kronecker product; index (i, j) of the factors maps to i*b_dim + j."""
+    entries = {
+        (i * b.nrows + k, j * b.ncols + l): x * y
+        for i in range(a.nrows)
+        for j, x in a.row_items(i)
+        for k in range(b.nrows)
+        for l, y in b.row_items(k)
+    }
+    return RatMatrix(a.nrows * b.nrows, a.ncols * b.ncols, entries)
+
+
+def max_abs_entry(a):
+    return max((abs(v) for r in _rows(a) for v in r.values()), default=0)
+
+
+def product_brackets(m):
+    """verify_brackets by six whole-matrix products."""
+    cases = (
+        ("XY-YX=H", sub(matmul(m.X, m.Y), matmul(m.Y, m.X)), m.H),
+        ("HX-XH=2X", sub(matmul(m.H, m.X), matmul(m.X, m.H)), scale(m.X, 2)),
+        ("HY-YH=-2Y", sub(matmul(m.H, m.Y), matmul(m.Y, m.H)), scale(m.Y, -2)),
+    )
+    checks = []
+    for name, lhs, rhs in cases:
+        gap = max_abs_entry(sub(lhs, rhs))
+        checks.append(RelationCheck(name, gap == 0, gap.numerator))
+    return BracketReport(tuple(checks))
+
+
+def kron_tensor(a, b):
+    """tensor_modules by identity matrices, Kronecker products and sums."""
+    ia, ib = identity(a.dim), identity(b.dim)
+    weights = tuple(wa + wb for wa in a.basis_weights for wb in b.basis_weights)
+    return Sl2MatrixModule(
+        dim=a.dim * b.dim,
+        X=add(kron(a.X, ib), kron(ia, b.X)),
+        Y=add(kron(a.Y, ib), kron(ia, b.Y)),
+        H=RatMatrix.diagonal(weights),
+        basis_weights=weights,
+    )
+
+
+def with_x(m, factor):
+    """m with X scaled by factor (0 zeroes it); the other operators kept."""
+    x = {(i, j): factor * v for i in range(m.dim) for j, v in m.X.row_items(i)}
+    return dataclasses.replace(m, X=RatMatrix(m.dim, m.dim, x))
 
 
 # The eliminators the package used before sparse primitive-row elimination
@@ -130,28 +239,28 @@ def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
 
 
 class TestRatMatrix:
+    # The arithmetic tests exercise the oracle functions above.
     def test_identity_matmul(self):
         a = RatMatrix(2, 2, {(0, 0): 1, (0, 1): Fraction(1, 2), (1, 0): 3})
-        assert RatMatrix.identity(2) @ a == a
-        assert a @ RatMatrix.identity(2) == a
+        assert matmul(identity(2), a) == a
+        assert matmul(a, identity(2)) == a
 
     def test_matmul(self):
         a = RatMatrix(2, 2, {(0, 1): 2, (1, 0): 1})
         b = RatMatrix(2, 2, {(0, 0): 5, (1, 1): 7})
-        assert a @ b == RatMatrix(2, 2, {(0, 1): 14, (1, 0): 5})
+        assert matmul(a, b) == RatMatrix(2, 2, {(0, 1): 14, (1, 0): 5})
 
     def test_kron_index_order(self):
         # (i, j) of the factors -> i * other_dim + j, row-major
         a = RatMatrix(2, 2, {(0, 1): 1})
-        b = RatMatrix.identity(2)
-        k = a.kron(b)
+        k = kron(a, identity(2))
         assert k.entry(0, 2) == 1 and k.entry(1, 3) == 1
-        assert k.max_abs_entry() == 1
+        assert max_abs_entry(k) == 1
 
     def test_add_cancels(self):
         a = RatMatrix(1, 1, {(0, 0): Fraction(1, 3)})
-        assert (a - a).is_zero()
-        assert (a - a).max_abs_entry() == 0
+        assert sub(a, a).is_zero()
+        assert max_abs_entry(sub(a, a)) == 0
 
     def test_apply(self):
         a = RatMatrix(2, 2, {(0, 1): 2, (1, 0): 3})
@@ -159,24 +268,25 @@ class TestRatMatrix:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            RatMatrix(2, 3) @ RatMatrix(2, 3)
+            matmul(RatMatrix(2, 3), RatMatrix(2, 3))
+        with pytest.raises(ValueError):
+            add(RatMatrix(2, 3), RatMatrix(3, 2))
 
     def test_integral_entries_are_ints(self):
         a = RatMatrix(1, 2, {(0, 0): Fraction(4, 2), (0, 1): Fraction(1, 2)})
         assert type(a.entry(0, 0)) is int and a.entry(0, 0) == 2
         assert a.entry(0, 1) == Fraction(1, 2)
         assert type(RatMatrix(1, 1).entry(0, 0)) is int
-        assert a.scale(Fraction(6, 3)).row_items(0) == [(0, 4), (1, 1)]
+        assert scale(a, Fraction(6, 3)).row_items(0) == [(0, 4), (1, 1)]
         assert RatMatrix(1, 1, {(0, 0): 1}) == RatMatrix(1, 1, {(0, 0): Fraction(1)})
 
     @pytest.mark.parametrize(
         "make",
         [
             lambda: RatMatrix(1, 1, {(0, 0): 0.1}),
-            lambda: RatMatrix.identity(2).scale(0.5),
             lambda: RatMatrix(1, 1, {(0, 0): "1/3"}),
         ],
-        ids=["float-entry", "float-scale", "string-entry"],
+        ids=["float-entry", "string-entry"],
     )
     def test_inexact_values_rejected(self, make):
         with pytest.raises(TypeError):
@@ -210,7 +320,7 @@ class TestBuildModule:
 class TestStructuralValidation:
     def test_wrong_diagonal_rejected(self):
         d = RatMatrix.diagonal([1, 1])
-        z = RatMatrix.zeros(2, 2)
+        z = RatMatrix(2, 2)
         with pytest.raises(ValueError, match="weight"):
             Sl2MatrixModule(dim=2, X=z, Y=z, H=d, basis_weights=(1, -1))
 
@@ -218,7 +328,7 @@ class TestStructuralValidation:
         # X must raise weight by 2; here it maps weight 1 to weight 1
         h = RatMatrix.diagonal([1, -1])
         bad_x = RatMatrix(2, 2, {(0, 0): 1})
-        z = RatMatrix.zeros(2, 2)
+        z = RatMatrix(2, 2)
         with pytest.raises(ValueError, match="X"):
             Sl2MatrixModule(dim=2, X=bad_x, Y=z, H=h, basis_weights=(1, -1))
 
@@ -239,14 +349,9 @@ class TestBrackets:
 
     def test_zeroed_x_breaks_xy_relation(self):
         good = build_cohomology_module(3)
-        broken = Sl2MatrixModule(
-            dim=good.dim,
-            X=RatMatrix.zeros(good.dim, good.dim),
-            Y=good.Y,
-            H=good.H,
-            basis_weights=good.basis_weights,
-        )
+        broken = dataclasses.replace(good, X=RatMatrix(good.dim, good.dim))
         report = verify_brackets(broken)
+        assert report == product_brackets(broken)
         by_name = {c.relation: c for c in report.checks}
         assert not by_name["XY-YX=H"].passed
         # XY - YX = 0, so the gap is H itself: max |weight| = 3
@@ -271,7 +376,62 @@ class TestBrackets:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_tensors(self, n):
         for parts in partitions(n):
-            assert verify_brackets(tensor_of(parts)).all_pass
+            m = tensor_of(parts)
+            report = verify_brackets(m)
+            assert report.all_pass
+            assert report == product_brackets(m)
+
+    @pytest.mark.parametrize("factor", [0, Fraction(1, 2), Fraction(2, 3)])
+    @pytest.mark.parametrize("parts", [(3,), (2, 1), (1, 1, 1), (4, 2)])
+    def test_broken_modules_match_products(self, parts, factor):
+        m = with_x(tensor_of(parts), factor)
+        report = verify_brackets(m)
+        assert report == product_brackets(m)
+        assert not report.checks[0].passed
+        assert report.checks[1].passed and report.checks[2].passed
+        if factor == 0:
+            assert report.checks[0].max_abs_discrepancy_numerator == sum(parts)
+
+    def test_random_modules_match_products(self):
+        # X and Y respect a random weight grading; entries in -3..3, some of
+        # them Fractions, so [X, Y] = H almost never holds
+        rng = random.Random(20261018)
+
+        def entry():
+            v = rng.randint(-3, 3)
+            return Fraction(v, rng.randint(2, 3)) if rng.random() < 0.3 else v
+
+        failing = 0
+        for _ in range(300):
+            d = rng.randint(1, 9)
+            w = [rng.randint(-4, 4) for _ in range(d)]
+            pairs = list(product(range(d), repeat=2))
+            x = {(i, j): entry() for i, j in pairs if w[i] == w[j] + 2}
+            y = {(i, j): entry() for i, j in pairs if w[i] == w[j] - 2}
+            m = Sl2MatrixModule(
+                dim=d,
+                X=RatMatrix(d, d, x),
+                Y=RatMatrix(d, d, y),
+                H=RatMatrix.diagonal(w),
+                basis_weights=tuple(w),
+            )
+            report = verify_brackets(m)
+            assert report == product_brackets(m)
+            failing += not report.all_pass
+        assert failing > 250
+
+    def test_no_product_held_in_memory(self):
+        # the check keeps one row at a time, not a product matrix
+        tracemalloc.start()
+        try:
+            m = tensor_of((4, 4, 4, 4))
+            module_size, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            verify_brackets(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - module_size < module_size / 10
 
 
 class TestTensor:
@@ -288,6 +448,17 @@ class TestTensor:
         t = tensor_modules(m, build_cohomology_module(0))
         assert t.basis_weights == m.basis_weights
         assert t.X == m.X and t.Y == m.Y and t.H == m.H
+
+    def test_matches_kron_of_two_factors(self):
+        for p, q in product(range(7), repeat=2):
+            a, b = build_cohomology_module(p), build_cohomology_module(q)
+            assert tensor_modules(a, b) == kron_tensor(a, b)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_kron_of_tensors(self, n):
+        for parts, k in product(partitions(n), range(4)):
+            a, b = tensor_of(parts), build_cohomology_module(k)
+            assert tensor_modules(a, b) == kron_tensor(a, b)
 
 
 class TestModuleCharacter:
@@ -419,13 +590,7 @@ class TestEliminator:
     def test_non_integral_module(self, parts, factor):
         # scaling X keeps its kernel; the rows are cleared of denominators
         m = tensor_of(parts)
-        scaled = Sl2MatrixModule(
-            dim=m.dim,
-            X=m.X.scale(factor),
-            Y=m.Y,
-            H=m.H,
-            basis_weights=m.basis_weights,
-        )
+        scaled = with_x(m, factor)
         entries = [v for i in range(m.dim) for _, v in scaled.X.row_items(i)]
         assert any(type(v) is Fraction for v in entries)
         assert highest_weight_multiplicities(scaled) == (
@@ -466,8 +631,8 @@ class TestHardLefschetz:
         for k in range(n % 2, n + 1, 2):
             src = m.basis_weights.index(k)
             dst = m.basis_weights.index(-k)
-            power = RatMatrix.identity(m.dim)
+            vec = {src: 1}
             for _ in range(k):
-                power = m.Y @ power
-            # both weight spaces are lines, so bijection == nonzero entry
-            assert power.entry(dst, src) != 0
+                vec = m.Y.apply(vec)
+            # both weight spaces are lines, so bijection == nonzero image
+            assert vec.get(dst, 0) != 0

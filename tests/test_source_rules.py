@@ -1,5 +1,5 @@
 """Rules on the package source: no cache that grows without bound, no floats,
-and one writer of the command line's stdout."""
+no whole-matrix products, and one writer of the command line's stdout."""
 
 import ast
 from pathlib import Path
@@ -114,6 +114,55 @@ def test_no_floating_point(path):
 )
 def test_rule_detects_floating_point(source, flagged):
     assert bool(floating_point(ast.parse(source))) is flagged
+
+
+MATRIX_PRODUCTS = {"__matmul__", "__rmatmul__", "__imatmul__", "kron"}
+
+
+def whole_matrix_products(tree):
+    """Line numbers of the ``@`` operator and of ``__matmul__`` or ``kron`` methods.
+
+    The matrix modules are checked and built one row at a time; a product of
+    whole matrices belongs in the tests, as an oracle.
+    """
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+            node.op, ast.MatMult
+        ):
+            lines.append(node.lineno)
+        elif (
+            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name in MATRIX_PRODUCTS
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_whole_matrix_products(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert whole_matrix_products(tree) == [], f"matrix product in {path.name}"
+
+
+@pytest.mark.parametrize(
+    "source,flagged",
+    [
+        ("c = a @ b", True),
+        ("c @= b", True),
+        ("class M:\n    def __matmul__(self, o): pass", True),
+        ("class M:\n    def __rmatmul__(self, o): pass", True),
+        ("class M:\n    def kron(self, o): pass", True),
+        ("def kron(a, b): pass", True),
+        ("@dataclass\nclass M: pass", False),
+        ("c = a * b", False),
+        ("y = m.apply(v)", False),
+    ],
+    ids=["matmul", "augmented", "dunder", "reflected", "kron-method",
+         "kron-function", "decorator", "scalar", "apply"],
+)
+def test_rule_detects_whole_matrix_products(source, flagged):
+    assert bool(whole_matrix_products(ast.parse(source))) is flagged
 
 
 STDOUT_NAMES = {("sys", "stdout"), ("json", "dumps"), ("args", "format")}
