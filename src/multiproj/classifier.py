@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactalg import LaurentPoly
+from .exactalg import LaurentPoly, _exact
 from .sl2rep import (
     Character,
     IrrepMultiset,
@@ -40,6 +40,9 @@ class Partition:
     def __post_init__(self):
         if not self.parts:
             raise ValueError("a partition needs at least one part")
+        for p in self.parts:
+            if not isinstance(p, int):
+                raise TypeError(f"partition parts must be int, got {p!r}")
         if any(p < 1 for p in self.parts):
             raise ValueError(f"all parts must be positive, got {self.parts}")
         object.__setattr__(self, "parts", tuple(sorted(self.parts, reverse=True)))
@@ -211,7 +214,7 @@ class ProjPoint:
     __slots__ = ("_coords",)
 
     def __init__(self, coords: Sequence[Fraction | int]):
-        coords = tuple(Fraction(c) for c in coords)
+        coords = tuple(Fraction(_exact(c)) for c in coords)
         if not coords:
             raise ValueError("a projective point needs at least one coordinate")
         if not any(coords):

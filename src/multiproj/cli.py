@@ -34,10 +34,10 @@ C(2g+n+1, n) (the dims comparison), so the digit limits are checked on the
 digits of that binomial, and on 2n + 1 times them for a row.
 
 The lefschetz-check limit bounds memory.  The brackets are checked one row
-at a time, so the module's own matrices set the peak: 1.4 KB of RSS per basis
-vector for six factors, up to 2.4 KB for seventeen (CPython 3.11; 176 MB at
-``--partition 6,6,6,6,6,6``, 331 MB at seventeen 1s).  A module at the limit
-peaks near 0.5 GB (444 MB at 1^6 4^5, dimension 200000), a ceiling worth
+at a time, so the module's own X and Y set the peak: 1.0 KB of RSS per basis
+vector for six factors, up to 1.9 KB for seventeen (CPython 3.11; 132 MB at
+``--partition 6,6,6,6,6,6``, 267 MB at seventeen 1s).  A module at the limit
+peaks near 0.35 GB (342 MB at 1^6 4^5, dimension 200000), a ceiling worth
 keeping, so the limit stays at 200000.
 """
 

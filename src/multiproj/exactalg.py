@@ -22,7 +22,17 @@ from __future__ import annotations
 
 import math
 import re
+from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
+
+
+def _exact(v: object) -> int | Fraction:
+    """v as an int when integral, else as a Fraction; other types are refused."""
+    if isinstance(v, int):
+        return v
+    if isinstance(v, Fraction):
+        return v.numerator if v.denominator == 1 else v
+    raise TypeError(f"exact numbers must be int or Fraction, not {type(v).__name__}")
 
 
 def binom(n: int, k: int) -> int:

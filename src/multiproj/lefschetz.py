@@ -5,7 +5,8 @@ operator turn the cohomology of complex projective space into an sl(2)-module:
 Y acts as the Lefschetz operator (raising cohomological degree by 2, i.e.
 lowering the weight by 2), X as its adjoint, and H weights H^{2p} by n - 2p.
 Odd cohomology of P^n vanishes, so the basis e_0, ..., e_n indexes the even
-degrees only.
+degrees only.  H is the weight grading itself, so a module stores only X, Y
+and the basis weights; H = diag(weights) is derived from them.
 
 The normalization here fixes Y e_p = e_{p+1}; the commutation relation
 [X, Y] = H together with X e_0 = 0 then forces X e_p = p(n - p + 1) e_{p-1}
@@ -29,17 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .exactalg import LaurentPoly
+from .exactalg import LaurentPoly, _exact
 from .sl2rep import Character
-
-
-def _exact(v: object) -> int | Fraction:
-    """v as an int when integral, else as a Fraction; other types are refused."""
-    if isinstance(v, int):
-        return v
-    if isinstance(v, Fraction):
-        return v.numerator if v.denominator == 1 else v
-    raise TypeError(f"matrix entries must be int or Fraction, not {type(v).__name__}")
 
 
 class RatMatrix:
@@ -178,49 +170,50 @@ def _kernel_vector(pivots: list[int], rows: list[dict], ncols: int) -> list[int]
 
 @dataclass(frozen=True)
 class Sl2MatrixModule:
-    """A concrete sl(2,C)-module: exact matrices X, Y, H on a weight basis.
+    """A concrete sl(2,C)-module: exact matrices X and Y on a weight basis.
 
-    H is diagonal with the integer basis weights; X and Y shift weights by +2
-    and -2.  Those structural facts are enforced here.  The bracket relations
-    themselves are deliberately NOT enforced, so that broken modules can be
-    built and fed to :func:`verify_brackets` (whose failures are data).
+    H acts on each basis vector by its weight, so it is not stored: ``H`` is
+    diag(basis_weights) and ``dim`` the number of weights, both derived.  X
+    and Y must shift the integer weights by +2 and -2, as enforced here.  The
+    bracket relations themselves are deliberately NOT enforced, so that
+    broken modules can be built and fed to :func:`verify_brackets` (whose
+    failures are data).
     """
 
-    dim: int
     X: RatMatrix
     Y: RatMatrix
-    H: RatMatrix
     basis_weights: tuple[int, ...]
 
     def __post_init__(self):
-        d = self.dim
-        if d < 1:
-            raise ValueError("module dimension must be positive")
-        if len(self.basis_weights) != d:
-            raise ValueError("basis_weights length must equal dim")
-        for m in (self.X, self.Y, self.H):
-            if m.nrows != d or m.ncols != d:
-                raise ValueError("operator matrices must be dim x dim")
         w = self.basis_weights
-        for i in range(d):
-            for j, v in self.H.row_items(i):
-                if i != j:
-                    raise ValueError(f"H must be diagonal; found H[{i},{j}] = {v}")
-            if self.H.entry(i, i) != w[i]:
+        d = len(w)
+        if not d:
+            raise ValueError("a module needs at least one basis weight")
+        for v in w:
+            if not isinstance(v, int):
+                raise TypeError(f"basis weights must be int, got {v!r}")
+        for name, op, shift in (("X", self.X, 2), ("Y", self.Y, -2)):
+            if op.nrows != d or op.ncols != d:
                 raise ValueError(
-                    f"H[{i},{i}] = {self.H.entry(i, i)} != weight {w[i]}"
+                    f"{name} is {op.nrows}x{op.ncols}, not {d}x{d} like the weights"
                 )
-        for i in range(d):
-            for j, _ in self.X.row_items(i):
-                if w[i] != w[j] + 2:
-                    raise ValueError(
-                        f"X[{i},{j}] nonzero but weights {w[i]} != {w[j]} + 2"
-                    )
-            for j, _ in self.Y.row_items(i):
-                if w[i] != w[j] - 2:
-                    raise ValueError(
-                        f"Y[{i},{j}] nonzero but weights {w[i]} != {w[j]} - 2"
-                    )
+            for i, row in enumerate(op._rows):
+                target = w[i] - shift
+                for j in row:
+                    if w[j] != target:
+                        raise ValueError(
+                            f"{name}[{i},{j}] nonzero but weights "
+                            f"{w[i]} != {w[j]} {shift:+d}"
+                        )
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis_weights)
+
+    @property
+    def H(self) -> RatMatrix:
+        """The weight operator diag(basis_weights), built on each access."""
+        return RatMatrix.diagonal(self.basis_weights)
 
 
 def build_cohomology_module(n: int) -> Sl2MatrixModule:
@@ -235,8 +228,7 @@ def build_cohomology_module(n: int) -> Sl2MatrixModule:
     d = n + 1
     y = RatMatrix(d, d, {(p + 1, p): 1 for p in range(n)})
     x = RatMatrix(d, d, {(p - 1, p): p * (n - p + 1) for p in range(1, n + 1)})
-    h = RatMatrix.diagonal(weights)
-    return Sl2MatrixModule(dim=d, X=x, Y=y, H=h, basis_weights=weights)
+    return Sl2MatrixModule(X=x, Y=y, basis_weights=weights)
 
 
 @dataclass(frozen=True)
@@ -273,8 +265,8 @@ def verify_brackets(m: Sl2MatrixModule) -> BracketReport:
     Each check reports the numerator of its largest |entry| of lhs - rhs.
     Row i of XY - YX - H is X's row i times Y's rows, minus Y's row i times
     X's rows, minus H_ii at column i; only the running maximum outlives the
-    row.  H = diag(basis_weights) (the module enforces it), so the gap of
-    [H,X] = 2X is (w_i - w_j - 2) X_ij entrywise, and that of [H,Y] = -2Y is
+    row.  H = diag(basis_weights) by definition, so the gap of [H,X] = 2X is
+    (w_i - w_j - 2) X_ij entrywise, and that of [H,Y] = -2Y is
     (w_i - w_j + 2) Y_ij: one pass over the nonzeros each.
     """
     w = m.basis_weights
@@ -305,17 +297,13 @@ def verify_brackets(m: Sl2MatrixModule) -> BracketReport:
 def tensor_modules(a: Sl2MatrixModule, b: Sl2MatrixModule) -> Sl2MatrixModule:
     """Kuenneth tensor product, operators acting by the Leibniz rule.
 
-    X and Y each become op (x) 1 + 1 (x) op, built row by row, and H the
-    diagonal of the summed weights (= H (x) 1 + 1 (x) H), so the bracket
-    relations are preserved.  Basis vector (i, k) has index i * b.dim + k.
+    X and Y each become op (x) 1 + 1 (x) op, built row by row, and the
+    weights add, which makes H = H (x) 1 + 1 (x) H; so the bracket relations
+    are preserved.  Basis vector (i, k) has index i * b.dim + k.
     """
     weights = tuple(wa + wb for wa in a.basis_weights for wb in b.basis_weights)
     return Sl2MatrixModule(
-        dim=a.dim * b.dim,
-        X=_leibniz(a.X, b.X),
-        Y=_leibniz(a.Y, b.Y),
-        H=RatMatrix.diagonal(weights),
-        basis_weights=weights,
+        X=_leibniz(a.X, b.X), Y=_leibniz(a.Y, b.Y), basis_weights=weights
     )
 
 
@@ -362,9 +350,9 @@ def _x_block(m: Sl2MatrixModule, spaces: dict[int, list[int]], w: int):
     """
     pos = {c: k for k, c in enumerate(spaces[w])}
     for r in spaces.get(w + 2, ()):
-        items = m.X.row_items(r)
-        scale = math.lcm(*(v.denominator for _, v in items))
-        yield {pos[j]: int(v * scale) for j, v in items}
+        row = m.X._rows[r]
+        scale = math.lcm(*(v.denominator for v in row.values()))
+        yield {pos[j]: int(v * scale) for j, v in row.items()}
 
 
 def _x_kernel_dims(m: Sl2MatrixModule, spaces: dict[int, list[int]]):

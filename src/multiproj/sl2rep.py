@@ -90,6 +90,8 @@ class IrrepMultiset:
 
     def __post_init__(self):
         for lab in self.labels:
+            if not isinstance(lab, int):
+                raise TypeError(f"irreducible labels must be int, got {lab!r}")
             if lab < 0:
                 raise ValueError(f"irreducible labels are nonnegative, got {lab}")
         object.__setattr__(self, "labels", tuple(sorted(self.labels, reverse=True)))

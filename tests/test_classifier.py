@@ -66,6 +66,11 @@ class TestPartitionType:
         with pytest.raises(ValueError):
             Partition((2, 0))
 
+    @pytest.mark.parametrize("parts", [(2.0, 1), ("2", 1), (Fraction(2), 1)])
+    def test_rejects_non_int_parts(self, parts):
+        with pytest.raises(TypeError, match=r"^partition parts must be int, got .+$"):
+            Partition(parts)
+
 
 class TestCohomologyCharacter:
     @pytest.mark.parametrize(
@@ -195,6 +200,15 @@ class TestProjPoint:
             ProjPoint((0, 0))
         with pytest.raises(ValueError):
             ProjPoint(())
+
+    @pytest.mark.parametrize(
+        "coords,kind",
+        [((0.1, 1), "float"), (("1/3", 1), "str"), ((1, 2.0), "float")],
+    )
+    def test_inexact_coordinates_rejected(self, coords, kind):
+        message = f"^exact numbers must be int or Fraction, not {kind}$"
+        with pytest.raises(TypeError, match=message):
+            ProjPoint(coords)
 
     def test_str(self):
         assert str(ProjPoint((1, 0))) == "[1:0]"

@@ -132,10 +132,8 @@ def kron_tensor(a, b):
     ia, ib = identity(a.dim), identity(b.dim)
     weights = tuple(wa + wb for wa in a.basis_weights for wb in b.basis_weights)
     return Sl2MatrixModule(
-        dim=a.dim * b.dim,
         X=add(kron(a.X, ib), kron(ia, b.X)),
         Y=add(kron(a.Y, ib), kron(ia, b.Y)),
-        H=RatMatrix.diagonal(weights),
         basis_weights=weights,
     )
 
@@ -318,19 +316,49 @@ class TestBuildModule:
 
 
 class TestStructuralValidation:
-    def test_wrong_diagonal_rejected(self):
-        d = RatMatrix.diagonal([1, 1])
+    def test_fields_are_x_y_and_weights(self):
+        # H and dim are read off the weights, never passed in
+        names = [f.name for f in dataclasses.fields(Sl2MatrixModule)]
+        assert names == ["X", "Y", "basis_weights"]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_h_and_dim_derived_from_weights(self, n):
+        for parts in partitions(n):
+            m = tensor_of(parts)
+            assert m.H == RatMatrix.diagonal(m.basis_weights)
+            assert m.dim == len(m.basis_weights)
+
+    @pytest.mark.parametrize(
+        "x,y,weights,message",
+        [
+            (RatMatrix(0, 0), RatMatrix(0, 0), (), "basis weight"),
+            (RatMatrix(2, 3), RatMatrix(2, 2), (1, -1), "X is 2x3"),
+            (RatMatrix(3, 3), RatMatrix(2, 2), (1, -1), "X is 3x3"),
+            (RatMatrix(2, 2), RatMatrix(2, 1), (1, -1), "Y is 2x1"),
+            # Y must lower the weight by 2; here it raises it
+            (RatMatrix(2, 2), RatMatrix(2, 2, {(0, 1): 1}), (1, -1), r"Y\[0,1\]"),
+            (RatMatrix(2, 2), RatMatrix(2, 2, {(1, 1): 3}), (1, -1), r"Y\[1,1\]"),
+        ],
+        ids=["no-weights", "x-cols", "x-rows", "y-cols", "y-raises", "y-diagonal"],
+    )
+    def test_malformed_modules_rejected(self, x, y, weights, message):
+        with pytest.raises(ValueError, match=message) as info:
+            Sl2MatrixModule(X=x, Y=y, basis_weights=weights)
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("weights", [(1.0, -1.0), (1, Fraction(-1))])
+    def test_inexact_weights_rejected(self, weights):
         z = RatMatrix(2, 2)
-        with pytest.raises(ValueError, match="weight"):
-            Sl2MatrixModule(dim=2, X=z, Y=z, H=d, basis_weights=(1, -1))
+        with pytest.raises(TypeError, match=r"^basis weights must be int, got .+$"):
+            Sl2MatrixModule(X=z, Y=z, basis_weights=weights)
 
     def test_wrong_grading_rejected(self):
         # X must raise weight by 2; here it maps weight 1 to weight 1
-        h = RatMatrix.diagonal([1, -1])
         bad_x = RatMatrix(2, 2, {(0, 0): 1})
         z = RatMatrix(2, 2)
-        with pytest.raises(ValueError, match="X"):
-            Sl2MatrixModule(dim=2, X=bad_x, Y=z, H=h, basis_weights=(1, -1))
+        message = r"^X\[0,0\] nonzero but weights 1 != 1 \+2$"
+        with pytest.raises(ValueError, match=message):
+            Sl2MatrixModule(X=bad_x, Y=z, basis_weights=(1, -1))
 
 
 class TestBrackets:
@@ -409,11 +437,7 @@ class TestBrackets:
             x = {(i, j): entry() for i, j in pairs if w[i] == w[j] + 2}
             y = {(i, j): entry() for i, j in pairs if w[i] == w[j] - 2}
             m = Sl2MatrixModule(
-                dim=d,
-                X=RatMatrix(d, d, x),
-                Y=RatMatrix(d, d, y),
-                H=RatMatrix.diagonal(w),
-                basis_weights=tuple(w),
+                X=RatMatrix(d, d, x), Y=RatMatrix(d, d, y), basis_weights=tuple(w)
             )
             report = verify_brackets(m)
             assert report == product_brackets(m)
@@ -597,6 +621,14 @@ class TestEliminator:
             highest_weight_multiplicities(m)
         )
         assert is_irreducible(scaled) == (len(parts) == 1)
+
+    def test_multiplicities_sort_no_rows(self):
+        # building and eliminating read each row's dict as it is stored
+        profile = cProfile.Profile()
+        m = profile.runcall(tensor_of, (2, 3, 4, 5))
+        profile.runcall(highest_weight_multiplicities, m)
+        called = pstats.Stats(profile).stats
+        assert not [f for f in called if f[2] == "row_items"]
 
     def test_integer_modules_create_no_fraction(self):
         m = tensor_of((3, 2, 1))

@@ -176,6 +176,11 @@ class TestIrrepMultiset:
     def test_total(self):
         assert IrrepMultiset((3, 1, 1)).total() == 5
 
+    @pytest.mark.parametrize("labels", [(1.5,), (2, 1.0), ("3",)])
+    def test_non_int_labels_rejected(self, labels):
+        with pytest.raises(TypeError, match=r"^irreducible labels must be int, got .+$"):
+            IrrepMultiset(labels)
+
 
 class TestFactorization:
     def test_two_one(self):
