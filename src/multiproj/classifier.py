@@ -21,11 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactalg import LaurentPoly, _exact
+from .exactalg import _exact
 from .sl2rep import (
     Character,
     IrrepMultiset,
-    factor_tensor_of_irreps,
+    _peel_q_integers,
     tensor_irreps_character,
 )
 from .symcurve import PoincarePolynomial
@@ -41,7 +41,7 @@ class Partition:
         if not self.parts:
             raise ValueError("a partition needs at least one part")
         for p in self.parts:
-            if not isinstance(p, int):
+            if not isinstance(p, int) or isinstance(p, bool):
                 raise TypeError(f"partition parts must be int, got {p!r}")
         if any(p < 1 for p in self.parts):
             raise ValueError(f"all parts must be positive, got {self.parts}")
@@ -150,10 +150,13 @@ def classify(p1: Partition, p2: Partition) -> ClassificationVerdict:
     Distinct total dimensions short-circuit to NON_ISOMORPHIC with no further
     work.  At equal dimension the verdict is partition equality, but the
     characters and their unique tensor factorizations are computed and
-    attached as evidence either way.  If that evidence ever failed to
-    round-trip, or two distinct partitions ever shared a character, unique
-    tensor factorization itself would be violated -- those turn into
-    RuntimeError, never into a quiet verdict.
+    attached as evidence either way: each character is built once, as a
+    dense product of q-integers, and peeled once.  The peeled labels must
+    equal the partition, which implies the rebuild-and-compare that
+    :func:`factor_tensor_of_irreps` makes for a character it did not build.
+    If that evidence ever failed to round-trip, or two distinct partitions
+    ever shared a character, unique tensor factorization itself would be
+    violated -- those turn into RuntimeError, never into a quiet verdict.
     """
     if p1.n != p2.n:
         return ClassificationVerdict(
@@ -161,9 +164,9 @@ def classify(p1: Partition, p2: Partition) -> ClassificationVerdict:
         )
     c1 = cohomology_character(p1)
     c2 = cohomology_character(p2)
-    f1 = factor_tensor_of_irreps(c1)
-    f2 = factor_tensor_of_irreps(c2)
-    if f1.labels != p1.parts or f2.labels != p2.parts:
+    f1 = _peel_q_integers(c1)
+    f2 = _peel_q_integers(c2)
+    if f1 is None or f2 is None or f1.labels != p1.parts or f2.labels != p2.parts:
         raise RuntimeError(
             "tensor factorization failed to recover its own partition: "
             f"{p1} -> {f1}, {p2} -> {f2}"
@@ -193,14 +196,12 @@ def poincare_of_multiprojective(p: Partition) -> PoincarePolynomial:
     """Poincare polynomial of P^{n_1} x ... x P^{n_r}: prod_i (1 + x^2 + ... + x^{2 n_i}).
 
     Re-indexing degree d <-> weight n-d turns this into the cohomology
-    character: B_d = multiplicity of weight n - d (even d only).
+    character: B_d = multiplicity of weight n - d, which is 0 for odd d.
     """
-    poly = LaurentPoly.one()
-    for part in p.parts:
-        poly = poly * LaurentPoly({2 * k: 1 for k in range(part + 1)})
+    c = cohomology_character(p)
     n = p.n
     return PoincarePolynomial(
-        betti=tuple(poly.coefficient(d) for d in range(2 * n + 1)), n=n
+        betti=tuple(c.coefficient(n - d) for d in range(2 * n + 1)), n=n
     )
 
 

@@ -24,8 +24,9 @@ are usage errors, each sized by what it would print:
   (n > 2000), or of more than 10^5 digits;
 * ``betti``, ``dims`` and every ``table`` cell: a number of more than 4000
   digits (Python's int-to-str conversion stops at 4300);
-* ``classify`` and ``factor``: a character of top degree over 2000 (dense
-  length 2001);
+* ``classify`` and ``factor``: a character of top degree over 2000 (4001
+  dense coefficients; for ``factor --char`` the largest |exponent|, checked
+  before the character is built);
 * ``lefschetz-check``: a module of dimension over 200000;
 * ``factor --roundtrip``: a bound beyond 25.
 
@@ -131,7 +132,7 @@ _CHARACTER_DEGREE_LIMIT = 2000
 
 
 def _check_degree(top: int) -> None:
-    """Refuse a character of top degree over the limit (dense length top + 1)."""
+    """Refuse a character of top degree over the limit (2 top + 1 dense coefficients)."""
     if top > _CHARACTER_DEGREE_LIMIT:
         raise _UsageError(
             f"character of top degree {top} exceeds the "
@@ -253,11 +254,13 @@ def _cmd_factor(args: argparse.Namespace) -> int:
         character = cohomology_character(p)
     else:
         try:
-            character = Character(LaurentPoly.parse(args.char))
+            poly = LaurentPoly.parse(args.char)
+            if poly:  # the zero character has no degree; factor refuses it
+                # before the character is built: it is dense from q^N to q^-N
+                _check_degree(max(poly.degree, -poly.valuation))
+            character = Character(poly)
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
-        if character.poly:  # the zero character has no degree; factor refuses it
-            _check_degree(character.top_degree)
         shown = args.char
     factors = factor_tensor_of_irreps(character)  # FactorizationError -> exit 1
     doc = {

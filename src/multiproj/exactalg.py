@@ -27,8 +27,8 @@ from typing import Iterator, Mapping, Sequence
 
 
 def _exact(v: object) -> int | Fraction:
-    """v as an int when integral, else as a Fraction; other types are refused."""
-    if isinstance(v, int):
+    """v as an int when integral, else a Fraction; other types, bool too, are refused."""
+    if isinstance(v, int) and not isinstance(v, bool):
         return v
     if isinstance(v, Fraction):
         return v.numerator if v.denominator == 1 else v

@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .exactalg import LaurentPoly, _exact
+from .exactalg import _exact
 from .sl2rep import Character
 
 
@@ -190,7 +191,7 @@ class Sl2MatrixModule:
         if not d:
             raise ValueError("a module needs at least one basis weight")
         for v in w:
-            if not isinstance(v, int):
+            if not isinstance(v, int) or isinstance(v, bool):
                 raise TypeError(f"basis weights must be int, got {v!r}")
         for name, op, shift in (("X", self.X, 2), ("Y", self.Y, -2)):
             if op.nrows != d or op.ncols != d:
@@ -328,11 +329,13 @@ def _leibniz(p: RatMatrix, q: RatMatrix) -> RatMatrix:
 
 
 def module_character(m: Sl2MatrixModule) -> Character:
-    """Character read off the H-eigenvalue multiset."""
-    counts: dict[int, int] = {}
-    for w in m.basis_weights:
-        counts[w] = counts.get(w, 0) + 1
-    return Character(LaurentPoly(counts))
+    """Character read off the H-eigenvalue multiset, dense from the top weight."""
+    counts = Counter(m.basis_weights)
+    top = max(map(abs, counts))
+    dense = [0] * (2 * top + 1)
+    for w, k in counts.items():
+        dense[top - w] = k
+    return Character._from_dense(tuple(dense))
 
 
 def _weight_indices(m: Sl2MatrixModule) -> dict[int, list[int]]:
@@ -345,10 +348,14 @@ def _weight_indices(m: Sl2MatrixModule) -> dict[int, list[int]]:
 def _x_block(m: Sl2MatrixModule, spaces: dict[int, list[int]], w: int):
     """X on the weight-w space, one sparse row per weight-(w+2) basis vector.
 
-    Columns are positions in the weight-w basis; a row with Fraction entries
-    is scaled by the lcm of their denominators, which keeps the kernel.
+    Column k is the k-th weight-w basis vector by descending index.  In a
+    tensor module the row of basis vector r then leads at r plus the stride
+    of its first factor that is not at its lowest weight, so most rows lead
+    at distinct columns, only the others need elimination, and fill-in
+    stays small.  A row with Fraction entries is scaled by the lcm of their
+    denominators, which keeps the kernel.
     """
-    pos = {c: k for k, c in enumerate(spaces[w])}
+    pos = {c: k for k, c in enumerate(reversed(spaces[w]))}
     for r in spaces.get(w + 2, ()):
         row = m.X._rows[r]
         scale = math.lcm(*(v.denominator for v in row.values()))
@@ -393,7 +400,8 @@ def is_irreducible(m: Sl2MatrixModule) -> bool:
             top = w, pivots, rows
     w, pivots, rows = top
     kernel = _kernel_vector(pivots, rows, len(spaces[w]))
-    vec = {i: v for i, v in zip(spaces[w], kernel) if v}
+    # block columns run by descending basis index (see _x_block)
+    vec = {i: v for i, v in zip(reversed(spaces[w]), kernel) if v}
     # Successive Y-images live in strictly decreasing weight eigenspaces, so
     # the nonzero ones are automatically linearly independent: the orbit spans
     # exactly when all dim of them are nonzero.  Y lowers the weight by

@@ -33,49 +33,108 @@ class FactorizationError(ValueError):
     """No factorization into nontrivial irreducibles exists."""
 
 
-@dataclass(frozen=True)
 class Character:
     """Character of a finite-dimensional sl(2,C)-module.
 
     Valid characters are palindromic (weight k and -k have equal multiplicity)
-    with nonnegative coefficients; both are checked at construction.  Genuine
-    module characters additionally have weight multiplicities that decrease
-    outward on each parity class; that stronger condition is exactly what
-    :func:`clebsch_gordan_decompose` certifies.
+    with nonnegative coefficients; both are checked when a character is built
+    from a :class:`LaurentPoly`.  Genuine module characters additionally have
+    weight multiplicities that decrease outward on each parity class; that
+    stronger condition is exactly what :func:`clebsch_gordan_decompose`
+    certifies.
+
+    A character is held dense: the 2N + 1 coefficients of q^N, q^(N-1), ...,
+    q^-N, whose length gives the top degree N (none for the zero character).
+    Building one from a LaurentPoly costs O(N) whatever its number of terms.
+    The products, the peel and the decomposition work on that tuple, and a
+    product the package built itself is not checked again.  ``poly`` is the
+    sparse form, built on each access, for printing and for the sparse
+    product oracle :func:`tensor_character`.
     """
 
-    poly: LaurentPoly
+    __slots__ = ("_coeffs",)
 
-    def __post_init__(self):
-        for exp, c in self.poly.terms():
-            if c < 0:
-                raise ValueError(
-                    f"not a character: negative coefficient {c} at q^{exp}"
-                )
-            if self.poly.coefficient(-exp) != c:
-                raise ValueError(
-                    f"not a character: coefficient at q^{exp} ({c}) differs "
-                    f"from q^{-exp} ({self.poly.coefficient(-exp)})"
-                )
+    def __init__(self, poly: LaurentPoly):
+        top = max(poly.degree, -poly.valuation) if poly else -1
+        dense = [0] * (2 * top + 1)
+        for e, c in poly.terms():
+            dense[top - e] = c
+        self._coeffs = _validated(tuple(dense))
+
+    @classmethod
+    def _from_dense(cls, coeffs: tuple[int, ...], *, check: bool = True) -> "Character":
+        """The character with dense coefficients q^N..q^-N, N = len // 2.
+
+        ``check=False`` is for a product the package built itself, which is
+        a character by construction.
+        """
+        c = cls.__new__(cls)
+        c._coeffs = _validated(coeffs) if check else coeffs
+        return c
+
+    @property
+    def poly(self) -> LaurentPoly:
+        top = len(self._coeffs) // 2
+        return LaurentPoly({top - i: c for i, c in enumerate(self._coeffs)})
 
     @property
     def dimension(self) -> int:
-        return self.poly.evaluate_at_one()
+        return sum(self._coeffs)
 
     @property
     def top_degree(self) -> int:
         """Highest weight occurring (the q-degree)."""
-        return self.poly.degree
+        if not self._coeffs:
+            raise ValueError("the zero polynomial has no degree")
+        return len(self._coeffs) // 2
 
     def coefficient(self, k: int) -> int:
-        return self.poly.coefficient(k)
+        i = len(self._coeffs) // 2 - k
+        return self._coeffs[i] if 0 <= i < len(self._coeffs) else 0
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Character):
+            return NotImplemented
+        return self._coeffs == other._coeffs
+
+    def __hash__(self) -> int:
+        return hash(self._coeffs)
 
     def __mul__(self, other: "Character") -> "Character":
         # Product of palindromic nonnegative polynomials is again one.
-        return Character(self.poly * other.poly)
+        a, b = self._coeffs, other._coeffs
+        if not a or not b:
+            return Character._from_dense((), check=False)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, start=i):
+                    out[j] += x * y
+        return Character._from_dense(tuple(out), check=False)
 
     def __str__(self) -> str:
         return str(self.poly)
+
+    def __repr__(self) -> str:
+        return f"Character(poly={self.poly!r})"
+
+
+def _validated(coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """Dense coefficients q^N..q^-N, refused unless nonnegative and palindromic."""
+    top = len(coeffs) // 2
+    for i, c in enumerate(coeffs):
+        if not c:
+            continue
+        if c < 0:
+            raise ValueError(
+                f"not a character: negative coefficient {c} at q^{top - i}"
+            )
+        if coeffs[-1 - i] != c:
+            raise ValueError(
+                f"not a character: coefficient at q^{top - i} ({c}) differs "
+                f"from q^{i - top} ({coeffs[-1 - i]})"
+            )
+    return coeffs
 
 
 @dataclass(frozen=True)
@@ -90,7 +149,7 @@ class IrrepMultiset:
 
     def __post_init__(self):
         for lab in self.labels:
-            if not isinstance(lab, int):
+            if not isinstance(lab, int) or isinstance(lab, bool):
                 raise TypeError(f"irreducible labels must be int, got {lab!r}")
             if lab < 0:
                 raise ValueError(f"irreducible labels are nonnegative, got {lab}")
@@ -134,7 +193,11 @@ def irrep_character(n: int) -> Character:
 
 
 def tensor_character(factors: Sequence[Character]) -> Character:
-    """Character of the tensor product of the given modules."""
+    """Character of the tensor product of the given modules.
+
+    The sparse product of LaurentPolys, kept as the independent route that
+    the dense products are checked against.
+    """
     if not factors:
         raise ValueError("tensor_character needs at least one factor")
     poly = factors[0].poly
@@ -157,8 +220,9 @@ def tensor_irreps_character(labels: Sequence[int]) -> Character:
             raise ValueError(f"irreducible labels are nonnegative, got {lab}")
         shifted = map(sub, coeffs + [0] * lab, [0] * (lab + 1) + coeffs)
         coeffs = list(accumulate(shifted))
-    top = len(coeffs) - 1
-    return Character(LaurentPoly({top - 2 * j: c for j, c in enumerate(coeffs)}))
+    dense = [0] * (2 * len(coeffs) - 1)  # weights of the other parity are 0
+    dense[::2] = coeffs
+    return Character._from_dense(tuple(dense), check=False)
 
 
 def clebsch_gordan_decompose(c: Character) -> IrrepMultiset:
@@ -169,16 +233,16 @@ def clebsch_gordan_decompose(c: Character) -> IrrepMultiset:
     the irreducible with label k contributes only to the first.  A negative
     difference means the input is not the character of any module.
     """
+    half = c._coeffs[: len(c._coeffs) // 2 + 1]  # q^N down to q^0
+    top = len(half) - 1
     labels: list[int] = []
-    top = c.top_degree if c.poly else -1
-    for k in range(top, -1, -1):
-        mult = c.coefficient(k) - c.coefficient(k + 2)
+    for i, mult in enumerate(map(sub, half, (0, 0) + half[:-2])):
         if mult < 0:
             raise ValueError(
-                f"not a module character: multiplicity of label {k} "
+                f"not a module character: multiplicity of label {top - i} "
                 f"would be {mult}"
             )
-        labels.extend([k] * mult)
+        labels.extend([top - i] * mult)
     return IrrepMultiset(tuple(labels))
 
 
@@ -232,34 +296,36 @@ def factor_tensor_of_irreps(c: Character) -> IrrepMultiset:
             "not a tensor of nontrivial irreducibles: dimension "
             f"{c.dimension} < 2"
         )
-    labels = _peel_q_integers(c)
-    if labels is None:
+    found = _peel_q_integers(c)
+    if found is None or tensor_irreps_character(found.labels) != c:
         raise FactorizationError(f"not a tensor of nontrivial irreducibles: {c}")
-    return IrrepMultiset(tuple(labels))
+    return found
 
 
-def _peel_q_integers(c: Character) -> list[int] | None:
-    """The labels found by peeling P = q^N c (1 - x)^r, or None if a step fails."""
-    top = c.top_degree
-    weights = dict(c.poly.terms())
+def _peel_q_integers(c: Character) -> IrrepMultiset | None:
+    """The labels found by peeling P = q^N c (1 - x)^r, or None if a step fails.
+
+    The labels are not confirmed: a caller that did not build c as their
+    product must rebuild it, as :func:`factor_tensor_of_irreps` does.  c must
+    have dimension at least 2.
+    """
+    dense = c._coeffs
+    p = list(dense[::2])  # the weights of the parity of the top, from the top
     # A product of q-integers has all top + 1 weights of the parity of top,
     # each with a positive coefficient, and no others.
-    if len(weights) != top + 1:
+    if any(dense[1::2]) or p[0] != 1 or 0 in p or p[1] >= len(p):
         return None
-    given = [weights.get(top - 2 * j, 0) for j in range(top + 1)]
-    if given[0] != 1 or 0 in given or given[1] > top:
-        return None
-    p = list(given)
-    for _ in range(given[1]):  # times (1 - x), r times
+    for _ in range(p[1]):  # times (1 - x), r times
         p = list(map(sub, p + [0], [0] + p))
     labels = []
-    # p[1] = r - r = 0, so every k >= 2 and every label is nontrivial
+    k = 2  # p[1] = r - r = 0, so every k >= 2 and every label is nontrivial
     while len(p) > 1:  # p never ends in a zero coefficient
-        k = next(j for j in range(2, len(p)) if p[j])
-        for i in range(k):  # divided by (1 - x^k): q_j = p_j + q_(j-k)
-            p[i::k] = accumulate(p[i::k])
+        # labels come off smallest first, so no power below the last k leads
+        k = next(j for j in range(k, len(p)) if p[j])
+        for j in range(k, len(p)):  # divided by (1 - x^k): q_j = p_j + q_(j-k)
+            p[j] += p[j - k]
         if any(p[-k:]):
             return None
         del p[-k:]
         labels.append(k - 1)
-    return labels if tensor_irreps_character(labels) == c else None
+    return IrrepMultiset(tuple(labels))

@@ -1,5 +1,7 @@
 """End-to-end classification of multiprojective spaces and the Sym^2 map."""
 
+import cProfile
+import pstats
 from fractions import Fraction
 
 import pytest
@@ -19,11 +21,14 @@ from multiproj.classifier import (
 from multiproj.exactalg import LaurentPoly
 from multiproj.sl2rep import (
     Character,
+    _peel_q_integers,
+    _validated,
     irrep_character,
     partitions,
     tensor_character,
+    tensor_irreps_character,
 )
-from multiproj.symcurve import poincare_genus_zero
+from multiproj.symcurve import PoincarePolynomial, poincare_genus_zero
 
 
 class TestParsePartition:
@@ -70,6 +75,10 @@ class TestPartitionType:
     def test_rejects_non_int_parts(self, parts):
         with pytest.raises(TypeError, match=r"^partition parts must be int, got .+$"):
             Partition(parts)
+
+    def test_rejects_bool_parts(self):
+        with pytest.raises(TypeError, match=r"^partition parts must be int, got True$"):
+            Partition((True, 2))
 
 
 class TestCohomologyCharacter:
@@ -159,8 +168,45 @@ class TestClassify:
             v = classify(Partition(p), Partition(tuple(reversed(p))))
             assert v.verdict is Verdict.ISOMORPHIC
 
+    def test_each_character_built_and_peeled_once(self):
+        # two dense products per call, no sparse product, no LaurentPoly
+        pairs = [(Partition(a), Partition(b)) for a, b in
+                 [((5, 3, 2), (4, 4, 2)), ((6, 4), (6, 4)), ((3, 3, 3, 1), (9, 1))]]
+        profile = cProfile.Profile()
+        for p1, p2 in pairs:
+            profile.runcall(classify, p1, p2)
+        called = pstats.Stats(profile).stats
+
+        def calls(fn):
+            code = fn.__code__
+            key = (code.co_filename, code.co_firstlineno, code.co_name)
+            return called[key][1] if key in called else 0
+
+        assert calls(tensor_irreps_character) == 2 * len(pairs)
+        assert calls(_peel_q_integers) == 2 * len(pairs)
+        assert calls(LaurentPoly.__mul__) == 0
+        assert calls(LaurentPoly.__init__) == 0
+        assert calls(_validated) == 0  # its own products are not re-checked
+
+
+def poincare_by_products(p):
+    """The product of q-integers in x^2 that poincare_of_multiprojective replaced."""
+    poly = LaurentPoly.one()
+    for part in p.parts:
+        poly = poly * LaurentPoly({2 * k: 1 for k in range(part + 1)})
+    n = p.n
+    return PoincarePolynomial(
+        betti=tuple(poly.coefficient(d) for d in range(2 * n + 1)), n=n
+    )
+
 
 class TestPoincareOfMultiprojective:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_product_of_q_integers(self, n):
+        for parts in partitions(n):
+            p = Partition(parts)
+            assert poincare_of_multiprojective(p) == poincare_by_products(p)
+
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     def test_single_factor_is_projective_space(self, n):
         assert poincare_of_multiprojective(Partition((n,))) == poincare_genus_zero(n)
@@ -209,6 +255,12 @@ class TestProjPoint:
         message = f"^exact numbers must be int or Fraction, not {kind}$"
         with pytest.raises(TypeError, match=message):
             ProjPoint(coords)
+
+    def test_bool_coordinates_rejected(self):
+        with pytest.raises(
+            TypeError, match="^exact numbers must be int or Fraction, not bool$"
+        ):
+            ProjPoint((1, False))
 
     def test_str(self):
         assert str(ProjPoint((1, 0))) == "[1:0]"

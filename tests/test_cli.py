@@ -321,6 +321,17 @@ def test_size_limit_exits_2(args):
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
+# A character is held dense from q^N to q^-N, so its degree is checked on
+# the parsed polynomial, at either end, before the character is built.
+@pytest.mark.parametrize("text", ["q^-3000", "q^3000", "q^2 + q^-3000"])
+def test_character_degree_checked_before_it_is_built(capsys, text):
+    assert cli.main(["factor", "--char", text]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(" of top degree 3000 exceeds the 2000-degree limit\n")
+    assert len(err.splitlines()) == 1
+
+
 def test_zero_character_is_a_domain_error():
     proc = run("factor", "--char", "0")
     assert proc.returncode == 1

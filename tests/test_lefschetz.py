@@ -290,6 +290,12 @@ class TestRatMatrix:
         with pytest.raises(TypeError):
             make()
 
+    def test_bool_entry_rejected(self):
+        with pytest.raises(
+            TypeError, match="^exact numbers must be int or Fraction, not bool$"
+        ):
+            RatMatrix(1, 1, {(0, 0): True})
+
 
 class TestBuildModule:
     def test_n0_is_zero_module(self):
@@ -351,6 +357,11 @@ class TestStructuralValidation:
         z = RatMatrix(2, 2)
         with pytest.raises(TypeError, match=r"^basis weights must be int, got .+$"):
             Sl2MatrixModule(X=z, Y=z, basis_weights=weights)
+
+    def test_bool_weights_rejected(self):
+        z = RatMatrix(2, 2)
+        with pytest.raises(TypeError, match=r"^basis weights must be int, got True$"):
+            Sl2MatrixModule(X=z, Y=z, basis_weights=(True, -1))
 
     def test_wrong_grading_rejected(self):
         # X must raise weight by 2; here it maps weight 1 to weight 1
@@ -502,6 +513,13 @@ class TestModuleCharacter:
             expected = tensor_character([irrep_character(k) for k in parts])
             assert module_character(tensor_of(parts)) == expected
 
+    @pytest.mark.parametrize("weights", [(1,), (2, 0), (2, 0, -2, -2)])
+    def test_asymmetric_weights_rejected(self, weights):
+        z = RatMatrix(len(weights), len(weights))
+        m = Sl2MatrixModule(X=z, Y=z, basis_weights=weights)
+        with pytest.raises(ValueError, match=r"^not a character: .+$"):
+            module_character(m)
+
 
 class TestHighestWeight:
     @pytest.mark.parametrize("n", range(0, 11))
@@ -543,6 +561,34 @@ def test_large_tensor_multiplicities_finish():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "3125\n"
+
+
+# Together these take 15-17 s with the blocks' columns in ascending basis
+# order, and about 2 s in descending order (see _x_block).
+LARGER_TENSORS = """
+from functools import reduce
+from multiproj.lefschetz import (
+    build_cohomology_module, highest_weight_multiplicities, module_character,
+    tensor_modules,
+)
+from multiproj.sl2rep import clebsch_gordan_decompose
+for parts in ((6, 6, 6, 6, 6), (4, 4, 4, 4, 4, 4)):
+    m = reduce(tensor_modules, map(build_cohomology_module, parts))
+    cg = clebsch_gordan_decompose(module_character(m))
+    assert highest_weight_multiplicities(m) == dict(cg.counts()), parts
+    print(m.dim)
+"""
+
+
+def test_larger_tensor_multiplicities_finish():
+    proc = subprocess.run(
+        [sys.executable, "-c", LARGER_TENSORS],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "16807\n15625\n"
 
 
 def random_integer_rows(rng, nrows, ncols):

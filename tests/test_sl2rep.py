@@ -1,6 +1,7 @@
 """Character ring: irreducibles, tensor products, decomposition, factorization."""
 
 import random
+import re
 from itertools import combinations_with_replacement
 
 import pytest
@@ -116,6 +117,72 @@ class TestCharacterInvariants:
     def test_top_degree(self):
         assert irrep_character(5).top_degree == 5
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("q - 1 + q^-1", "negative coefficient -1 at q^0"),
+            ("q^2 + 1", "coefficient at q^2 (1) differs from q^-2 (0)"),
+            ("1 + q^-2", "coefficient at q^-2 (1) differs from q^2 (0)"),
+            ("q^3 - 2*q - 2*q^-1 + q^-3", "negative coefficient -2 at q^1"),
+        ],
+    )
+    def test_refusal_names_first_bad_term(self, text, message):
+        # the messages of the sparse check, which visited terms top down
+        with pytest.raises(ValueError, match=re.escape(f"not a character: {message}")):
+            Character(LaurentPoly.parse(text))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "q^2 + q + 1 + q^-1 + q^-2",  # mixed parity
+            "q^3 + 2*q^2 + q + q^-1 + 2*q^-2 + q^-3",  # mixed, a gap at q^0
+            "1",  # trivial
+            "3",
+            "q^4 + 2*q^2 + 2 + 2*q^-2 + q^-4",
+            "0",  # zero
+        ],
+    )
+    def test_dense_round_trip(self, text):
+        poly = LaurentPoly.parse(text)
+        c = Character(poly)
+        assert c.poly == poly and str(c) == str(poly) == text
+        assert c == Character(LaurentPoly.parse(text)) and c == char_of(str(c))
+        assert hash(c) == hash(Character(LaurentPoly.parse(text)))
+        assert c.dimension == poly.evaluate_at_one()
+        top = poly.degree if poly else 0
+        assert all(c.coefficient(k) == poly.coefficient(k) for k in range(-top - 3, top + 4))
+        if poly:
+            assert c.top_degree == top
+        else:
+            with pytest.raises(ValueError, match="^the zero polynomial has no degree$"):
+                c.top_degree  # noqa: B018
+
+    def test_equality_and_hash_tell_characters_apart(self):
+        texts = ["1", "2", "q + q^-1", "q^2 + 1 + q^-2", "q^2 + 2 + q^-2",
+                 "q^2 + q + 1 + q^-1 + q^-2", "0"]
+        chars = [char_of(t) for t in texts]
+        assert len(set(chars)) == len(texts)
+        assert all((a == b) is (i == j) for i, a in enumerate(chars)
+                   for j, b in enumerate(chars))
+        assert char_of("1") != LaurentPoly.one()
+
+    @pytest.mark.parametrize(
+        "left,right",
+        [
+            ("q^2 + q + 1 + q^-1 + q^-2", "q + q^-1"),
+            ("q^2 + q + 1 + q^-1 + q^-2", "q^2 + q + 1 + q^-1 + q^-2"),
+            ("q^3 + 2*q^2 + q + q^-1 + 2*q^-2 + q^-3", "2"),
+            ("q^5 + q^-5", "q^2 + 3 + q^-2"),
+            ("1", "q + q^-1"),
+            ("0", "q + q^-1"),
+            ("q + q^-1", "0"),
+        ],
+    )
+    def test_product_matches_sparse_product(self, left, right):
+        a, b = char_of(left), char_of(right)
+        assert a * b == Character(a.poly * b.poly)
+        assert str(a * b) == str(a.poly * b.poly)
+
 
 class TestTensorCharacter:
     def test_square_of_fundamental(self):
@@ -180,6 +247,10 @@ class TestIrrepMultiset:
     def test_non_int_labels_rejected(self, labels):
         with pytest.raises(TypeError, match=r"^irreducible labels must be int, got .+$"):
             IrrepMultiset(labels)
+
+    def test_bool_labels_rejected(self):
+        with pytest.raises(TypeError, match=r"^irreducible labels must be int, got True$"):
+            IrrepMultiset((2, True))
 
 
 class TestFactorization:

@@ -1,5 +1,6 @@
 """Rules on the package source: no cache that grows without bound, no floats,
-no whole-matrix products, and one writer of the command line's stdout."""
+no whole-matrix products, one writer of the command line's stdout, and no
+sparse characters in the classifier."""
 
 import ast
 from pathlib import Path
@@ -221,3 +222,45 @@ EMIT = (
 )
 def test_rule_detects_output_outside_emit(source, flagged):
     assert bool(output_outside_emit(ast.parse(source))) is flagged
+
+
+def names_laurent_poly(tree):
+    """Line numbers where ``LaurentPoly`` is imported, named or an attribute.
+
+    ``classify`` works on dense characters; a sparse product in the
+    classifier would be a slow path back to the dict form.
+    """
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            lines += [node.lineno for a in node.names if a.name == "LaurentPoly"]
+        elif isinstance(node, ast.Name) and node.id == "LaurentPoly":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "LaurentPoly":
+            lines.append(node.lineno)
+    return lines
+
+
+def test_classifier_names_no_laurent_poly():
+    path = Path(multiproj.__file__).parent / "classifier.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert names_laurent_poly(tree) == []
+
+
+@pytest.mark.parametrize(
+    "source,flagged",
+    [
+        ("from .exactalg import LaurentPoly", True),
+        ("from .exactalg import _exact, LaurentPoly as LP", True),
+        ("p = LaurentPoly.one()", True),
+        ("p = exactalg.LaurentPoly({0: 1})", True),
+        ("def f(p: LaurentPoly): pass", True),
+        ("from .exactalg import _exact", False),
+        ("c = tensor_irreps_character(parts)", False),
+        ("text = 'LaurentPoly'", False),
+    ],
+    ids=["import", "import-as", "name", "attribute", "annotation", "other-import",
+         "dense", "string"],
+)
+def test_rule_detects_laurent_poly(source, flagged):
+    assert bool(names_laurent_poly(ast.parse(source))) is flagged
