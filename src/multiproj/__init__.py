@@ -24,7 +24,7 @@ from .classifier import (
     poincare_of_multiprojective,
     sym2_p1_map,
 )
-from .exactalg import LaurentPoly, TruncatedBiseries, binom, geometric_sum
+from .exactalg import LaurentPoly, binom
 from .lefschetz import (
     BracketReport,
     RatMatrix,
@@ -80,7 +80,6 @@ __all__ = [
     "Reason",
     "RelationCheck",
     "Sl2MatrixModule",
-    "TruncatedBiseries",
     "Verdict",
     "betti_closed",
     "binom",
@@ -92,7 +91,6 @@ __all__ = [
     "dim_sym_of_cohomology",
     "factor_tensor_of_irreps",
     "genus_obstruction_report",
-    "geometric_sum",
     "highest_weight_multiplicities",
     "irrep_character",
     "is_irreducible",

@@ -17,9 +17,10 @@ Matrix entries are exact: Python ints, with a Fraction only for a value that
 is not integral, so the modules built here never leave the integers.  Bracket
 verification, character extraction, Kuenneth tensor products and the
 irreducibility test (kernel of X plus the Y-orbit of a highest-weight vector)
-are all exact; ranks and kernels come from one sparse primitive-row
-elimination over the integers.  The brackets are checked and the tensor
-products built one row at a time, so no whole-matrix product is ever formed.
+are all exact; the ranks of X's weight blocks come from one sparse
+primitive-row elimination over the integers.  The brackets are checked and
+the tensor products built one row at a time, so no whole-matrix product is
+ever formed.
 """
 
 from __future__ import annotations
@@ -149,24 +150,6 @@ def _echelon(rows: Iterable[Mapping]) -> tuple[list[int], list[dict]]:
                     del row[c]
     pivots = sorted(by_lead)
     return pivots, [by_lead[c] for c in pivots]
-
-
-def _kernel_vector(pivots: list[int], rows: list[dict], ncols: int) -> list[int]:
-    """A nonzero integer kernel vector of echelon rows with a free column.
-
-    The first free column is 1, the other free columns 0; back-substitution
-    fills the pivot columns, scaling the vector so that it stays integral.
-    """
-    pivot_set = set(pivots)
-    vec = [0] * ncols
-    vec[next(c for c in range(ncols) if c not in pivot_set)] = 1
-    for col, row in zip(reversed(pivots), reversed(rows)):
-        s = sum(a * vec[c] for c, a in row.items())
-        g = math.gcd(s, row[col])
-        if row[col] != g:
-            vec = [row[col] // g * v for v in vec]
-        vec[col] = -s // g
-    return vec
 
 
 @dataclass(frozen=True)
@@ -363,14 +346,10 @@ def _x_block(m: Sl2MatrixModule, spaces: dict[int, list[int]], w: int):
 
 
 def _x_kernel_dims(m: Sl2MatrixModule, spaces: dict[int, list[int]]):
-    """Kernel dimension of X on each weight space, from the top weight down.
-
-    Yields (weight, kernel dimension, pivot columns, echelon rows); the last
-    two give a kernel vector without a second elimination.
-    """
+    """Kernel dimension of X on each weight space, from the top weight down."""
     for w in sorted(spaces, reverse=True):
-        pivots, rows = _echelon(_x_block(m, spaces, w))
-        yield w, len(spaces[w]) - len(pivots), pivots, rows
+        pivots, _ = _echelon(_x_block(m, spaces, w))
+        yield w, len(spaces[w]) - len(pivots)
 
 
 def highest_weight_multiplicities(m: Sl2MatrixModule) -> dict[int, int]:
@@ -380,28 +359,23 @@ def highest_weight_multiplicities(m: Sl2MatrixModule) -> dict[int, int]:
     multiplicities of the Clebsch-Gordan decomposition.
     """
     spaces = _weight_indices(m)
-    return {w: dim for w, dim, _, _ in _x_kernel_dims(m, spaces) if dim}
+    return {w: dim for w, dim in _x_kernel_dims(m, spaces) if dim}
 
 
 def is_irreducible(m: Sl2MatrixModule) -> bool:
     """Irreducibility test: one highest-weight line whose Y-orbit spans.
 
     X preserves the weight grading (weight w -> w + 2), so its kernel splits
-    across the weight spaces and can be collected blockwise; the scan aborts
-    as soon as a second kernel dimension shows up.  X kills the top weight
-    space, so otherwise exactly one line is found.
+    across the weight spaces and can be collected blockwise.  X kills the top
+    weight space, so that space must be a line, and no lower weight may have
+    a kernel; the scan aborts at the first one that does.
     """
     spaces = _weight_indices(m)
-    top = None
-    for w, dim, pivots, rows in _x_kernel_dims(m, spaces):
-        if dim:
-            if top is not None or dim > 1:
-                return False
-            top = w, pivots, rows
-    w, pivots, rows = top
-    kernel = _kernel_vector(pivots, rows, len(spaces[w]))
-    # block columns run by descending basis index (see _x_block)
-    vec = {i: v for i, v in zip(reversed(spaces[w]), kernel) if v}
+    kernels = _x_kernel_dims(m, spaces)
+    w, top_dim = next(kernels)
+    if top_dim > 1 or any(dim for _, dim in kernels):
+        return False
+    vec = {spaces[w][0]: 1}
     # Successive Y-images live in strictly decreasing weight eigenspaces, so
     # the nonzero ones are automatically linearly independent: the orbit spans
     # exactly when all dim of them are nonzero.  Y lowers the weight by

@@ -5,9 +5,9 @@ against each other in the test suite:
 
 * the closed form  B_r = sum_j binom(2g, r - 2j)  for r <= n, extended to
   r > n by Poincare duality B_r = B_{2n-r};
-* the generating series (1 + tx)^{2g} / ((1 - t)(1 - tx^2)), whose t^n
-  coefficient is the Poincare polynomial of Sym^n(C), expanded with the exact
-  truncated-series arithmetic of :mod:`multiproj.exactalg`.
+* the generating series (1 + tx)^{2g} / ((1 - t)(1 - tx^2)) of Macdonald,
+  whose t^n coefficient is the Poincare polynomial of Sym^n(C), expanded in
+  place on one dense table of integers, one pass per factor.
 
 Genus 0 is special: Sym^n(P^1) = P^n, so its Betti numbers come from the
 projective-space rule (1 in each even degree) rather than the series, which is
@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import add
 
-from .exactalg import TruncatedBiseries, binom
+from .exactalg import binom
 
 
 @dataclass(frozen=True)
@@ -95,6 +96,13 @@ class DimensionComparison:
     relation: DimRelation
 
 
+def _require_int(**values: object) -> None:
+    """Refuse a g, n or r that is not an int; a bool is not taken for one."""
+    for name, v in values.items():
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise TypeError(f"{name} must be int, got {v!r}")
+
+
 def _check_genus(g: int) -> None:
     if g < 0:
         raise ValueError(f"genus must be nonnegative, got {g}")
@@ -106,6 +114,7 @@ def betti_closed(g: int, n: int, r: int) -> int:
     For r <= n this is sum_{j >= 0} binom(2g, r - 2j); for r > n it is
     B_{2n-r} by duality.
     """
+    _require_int(g=g, n=n, r=r)
     _check_genus(g)
     if g == 0:
         raise ValueError(
@@ -120,13 +129,35 @@ def betti_closed(g: int, n: int, r: int) -> int:
     return sum(binom(2 * g, r - 2 * j) for j in range(r // 2 + 1))
 
 
+def _series_row(g: int, n: int) -> list[int]:
+    """The t^n coefficient of (1 + tx)^{2g} / ((1 - t)(1 - tx^2)), dense in x.
+
+    One table: rows[k] is the x-polynomial at t^k, of length 2k + 1.  Each
+    factor is one in-place pass over it.  Times (1 + tx) adds x * s_{k-1} to
+    s_k for k descending, up to the t-power reached so far.  Dividing by
+    (1 - t), then by (1 - tx^2), is the forward substitution s_k += s_{k-1},
+    then s_k += x^2 * s_{k-1}, for k ascending.
+    """
+    rows = [[0] * (2 * k + 1) for k in range(n + 1)]
+    rows[0][0] = 1
+    passes = [(1, range(min(p, n), 0, -1)) for p in range(1, 2 * g + 1)]
+    passes += [(0, range(1, n + 1)), (2, range(1, n + 1))]
+    for shift, ks in passes:
+        for k in ks:
+            prev, row = rows[k - 1], rows[k]
+            end = shift + len(prev)
+            row[shift:end] = map(add, row[shift:end], prev)
+    return rows[n]
+
+
 def poincare_via_series(g: int, n: int) -> PoincarePolynomial:
     """Poincare polynomial of Sym^n(C), genus g >= 1, by series expansion.
 
-    Expands (1 + tx)^{2g} by series arithmetic, divides it exactly by
-    (1 - t) and then by (1 - tx^2) with t truncated at n, and reads off the
+    Expands (1 + tx)^{2g}, divides it exactly by (1 - t) and then by
+    (1 - tx^2) with t truncated at n (see ``_series_row``), and reads off the
     t^n coefficient.
     """
+    _require_int(g=g, n=n)
     _check_genus(g)
     if g == 0:
         raise ValueError(
@@ -135,21 +166,15 @@ def poincare_via_series(g: int, n: int) -> PoincarePolynomial:
         )
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    one = TruncatedBiseries.one(n)
-    t = TruncatedBiseries.term(n, 1, 0)
-    tx = TruncatedBiseries.term(n, 1, 1)
-    tx2 = TruncatedBiseries.term(n, 1, 2)
-    series = (one + tx) ** (2 * g) / (one - t) / (one - tx2)
-    row = series.coefficient(n)
-    if len(row) != 2 * n + 1:
-        raise AssertionError(
-            f"series gave x-degree {len(row) - 1} at t^{n}, expected {2 * n}"
-        )
-    return PoincarePolynomial(betti=row, n=n)
+    row = _series_row(g, n)
+    if not row[-1]:
+        raise AssertionError(f"series gave 0 at x^{2 * n} t^{n}, expected 1")
+    return PoincarePolynomial(betti=tuple(row), n=n)
 
 
 def poincare_genus_zero(n: int) -> PoincarePolynomial:
     """Poincare polynomial of Sym^n(P^1) = P^n: one class in each even degree."""
+    _require_int(n=n)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     return PoincarePolynomial(
@@ -159,6 +184,7 @@ def poincare_genus_zero(n: int) -> PoincarePolynomial:
 
 def poincare_polynomial(g: int, n: int) -> PoincarePolynomial:
     """Route to the right formula by genus (series for g >= 1, P^n rule at 0)."""
+    _require_int(g=g, n=n)
     _check_genus(g)
     if g == 0:
         return poincare_genus_zero(n)
@@ -167,6 +193,7 @@ def poincare_polynomial(g: int, n: int) -> PoincarePolynomial:
 
 def total_dim_cohomology(g: int, n: int) -> int:
     """dim H*(Sym^n C, C) = sum_{i=0}^{min(n,2g)} binom(2g, i) * (n+1-i)."""
+    _require_int(g=g, n=n)
     _check_genus(g)
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
@@ -177,6 +204,7 @@ def total_dim_cohomology(g: int, n: int) -> int:
 
 def dim_sym_of_cohomology(g: int, n: int) -> int:
     """dim Sym^n(H*(C, C)) = binom(2g + n + 1, n), H*(C) ungraded of dim 2g+2."""
+    _require_int(g=g, n=n)
     _check_genus(g)
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
@@ -204,6 +232,7 @@ def genus_obstruction_report(g: int, n: int) -> DimensionComparison:
     is strictly smaller, which is exactly why that method has no higher-genus
     analogue.  The relation is computed by comparison, not asserted.
     """
+    _require_int(g=g, n=n)
     _check_genus(g)
     if n < 2:
         raise ValueError(

@@ -1,12 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from multiproj.exactalg import (
-    LaurentPoly,
-    TruncatedBiseries,
-    binom,
-    geometric_sum,
-)
+from multiproj.exactalg import LaurentPoly, binom
 
 
 def L(text):
@@ -113,84 +108,3 @@ def test_ring_axioms(a, b, c):
 @given(polys)
 def test_str_parse_round_trip(p):
     assert LaurentPoly.parse(str(p)) == p
-
-
-class TestBiseries:
-    def test_mul_binomial_square(self):
-        one = TruncatedBiseries.one(2)
-        tx = TruncatedBiseries.term(2, 1, 1)
-        sq = (one + tx) * (one + tx)
-        assert sq.coefficient(0) == (1,)
-        assert sq.coefficient(1) == (0, 2)
-        assert sq.coefficient(2) == (0, 0, 1)
-
-    def test_mul_identity(self):
-        s = TruncatedBiseries(3, ((1,), (2, 5), (), (7,)))
-        assert s * TruncatedBiseries.one(3) == s
-
-    def test_mul_truncates(self):
-        one = TruncatedBiseries.one(2)
-        t = TruncatedBiseries.term(2, 1, 0)
-        t2 = TruncatedBiseries.term(2, 2, 0)
-        product = (one + t) * (one + t + t2)
-        assert product == one + t + t + t2 + t2  # 1 + 2t + 2t^2, t^3 dropped
-
-    def test_cap_mismatch_is_callers_bug(self):
-        with pytest.raises(ValueError, match="tcap mismatch"):
-            TruncatedBiseries.one(2) * TruncatedBiseries.one(3)
-
-    def test_geometric_t(self):
-        g = geometric_sum(TruncatedBiseries.term(3, 1, 0))
-        assert [g.coefficient(i) for i in range(4)] == [(1,), (1,), (1,), (1,)]
-
-    def test_geometric_tx2(self):
-        g = geometric_sum(TruncatedBiseries.term(2, 1, 2))
-        assert g.coefficient(0) == (1,)
-        assert g.coefficient(1) == (0, 0, 1)
-        assert g.coefficient(2) == (0, 0, 0, 0, 1)
-
-    def test_geometric_rejects_constant_term(self):
-        with pytest.raises(ValueError):
-            geometric_sum(TruncatedBiseries.one(2))
-
-    def test_division_needs_constant_term_one(self):
-        a = TruncatedBiseries(2, ((1,), (0, 3)))
-        for divisor in (
-            TruncatedBiseries(2, ((2,), (1,))),
-            TruncatedBiseries(2, ((1, 1),)),
-            TruncatedBiseries.term(2, 1, 0),
-        ):
-            with pytest.raises(ValueError, match="constant t-term 1"):
-                a / divisor
-
-    def test_division_cap_mismatch(self):
-        with pytest.raises(ValueError, match="tcap mismatch"):
-            TruncatedBiseries.one(2) / TruncatedBiseries.one(3)
-
-    def test_pow_matches_repeated_mul(self):
-        one = TruncatedBiseries.one(4)
-        tx = TruncatedBiseries.term(4, 1, 1)
-        base = one + tx
-        assert base ** 4 == base * base * base * base
-        assert base ** 0 == one
-
-
-x_rows = st.lists(
-    st.lists(st.integers(min_value=-5, max_value=5), max_size=3), max_size=4
-)
-
-
-@given(st.integers(min_value=0, max_value=6), x_rows)
-def test_geometric_is_inverse_of_one_minus_u(tcap, rows):
-    # force zero constant t-term, then check sum * (1 - u) == 1
-    rows = [[]] + rows[: tcap]
-    u = TruncatedBiseries(tcap, rows)
-    one = TruncatedBiseries.one(tcap)
-    assert geometric_sum(u) * (one - u) == one
-
-
-@given(st.integers(min_value=0, max_value=6), x_rows, x_rows)
-def test_division_undoes_multiplication(tcap, a_rows, b_rows):
-    a = TruncatedBiseries(tcap, a_rows[: tcap + 1])
-    b = TruncatedBiseries(tcap, [[1]] + b_rows[:tcap])
-    assert (a / b) * b == a

@@ -1,6 +1,6 @@
 """Rules on the package source: no cache that grows without bound, no floats,
-no whole-matrix products, one writer of the command line's stdout, and no
-sparse characters in the classifier."""
+no whole-matrix products, one writer of the command line's stdout, no sparse
+characters in the classifier, and no series container behind symcurve."""
 
 import ast
 from pathlib import Path
@@ -264,3 +264,49 @@ def test_classifier_names_no_laurent_poly():
 )
 def test_rule_detects_laurent_poly(source, flagged):
     assert bool(names_laurent_poly(ast.parse(source))) is flagged
+
+
+def exactalg_beyond_binom(tree):
+    """Line numbers that reach ``exactalg`` for anything but ``binom``.
+
+    ``symcurve`` expands its series in place on a table of ints; a series
+    type from ``exactalg`` would bring the general ring back.
+    """
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").rpartition(".")[2] == "exactalg":
+                lines += [node.lineno for a in node.names if a.name != "binom"]
+            else:
+                lines += [node.lineno for a in node.names if a.name == "exactalg"]
+        elif isinstance(node, ast.Import):
+            names = (a.name.rpartition(".")[2] for a in node.names)
+            lines += [node.lineno for name in names if name == "exactalg"]
+    return lines
+
+
+def test_symcurve_takes_only_binom_from_exactalg():
+    path = Path(multiproj.__file__).parent / "symcurve.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert exactalg_beyond_binom(tree) == []
+
+
+@pytest.mark.parametrize(
+    "source,flagged",
+    [
+        ("from .exactalg import binom", False),
+        ("from multiproj.exactalg import binom as choose", False),
+        ("from .sl2rep import Character", False),
+        ("from operator import add", False),
+        ("from .exactalg import binom, LaurentPoly", True),
+        ("from .exactalg import TruncatedBiseries", True),
+        ("from multiproj.exactalg import geometric_sum", True),
+        ("from .exactalg import *", True),
+        ("from . import exactalg", True),
+        ("import multiproj.exactalg", True),
+    ],
+    ids=["binom", "binom-as", "other-module", "stdlib", "binom-and-more",
+         "series-type", "absolute", "star", "module", "import-module"],
+)
+def test_rule_detects_exactalg_beyond_binom(source, flagged):
+    assert bool(exactalg_beyond_binom(ast.parse(source))) is flagged

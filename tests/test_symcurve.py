@@ -2,11 +2,12 @@
 
 import pytest
 
-from multiproj.exactalg import TruncatedBiseries, geometric_sum
 from multiproj.symcurve import (
     DimRelation,
     PoincarePolynomial,
+    _series_row,
     betti_closed,
+    compare_dimensions,
     dim_sym_of_cohomology,
     genus_obstruction_report,
     poincare_genus_zero,
@@ -94,15 +95,34 @@ class TestSeries:
     def test_genus_zero_agreement_bonus(self):
         # the series is only *stated* for g >= 1, but at g = 0 it degenerates
         # to 1/((1-t)(1-tx^2)) and still reproduces the projective-space rule;
-        # built from raw series primitives since the library refuses g = 0
-        for n in range(1, 9):
-            t = TruncatedBiseries.term(n, 1, 0)
-            tx2 = TruncatedBiseries.term(n, 1, 2)
-            series = geometric_sum(t) * geometric_sum(tx2)
-            row = series.coefficient(n)
-            padded = row + (0,) * (2 * n + 1 - len(row))
-            assert padded == poincare_genus_zero(n).betti
+        # read from the expansion itself since the library refuses g = 0
+        for n in range(1, 60):
+            assert tuple(_series_row(0, n)) == poincare_genus_zero(n).betti
 
+    def test_top_coefficient_checked(self, monkeypatch):
+        # x^{2n} t^n has coefficient 1 (from (tx^2)^n); a 0 there is a bug
+        monkeypatch.setattr(
+            "multiproj.symcurve._series_row", lambda g, n: [1] + [0] * (2 * n)
+        )
+        with pytest.raises(AssertionError, match="x\\^4 t\\^2"):
+            poincare_via_series(1, 2)
+
+
+def closed_row(g, n):
+    return [betti_closed(g, n, r) for r in range(2 * n + 1)]
+
+
+class TestSeriesRow:
+    @pytest.mark.parametrize("g", range(1, 11))
+    def test_matches_closed_form_on_compute_domain(self, g):
+        for n in range(1, 121):
+            assert _series_row(g, n) == closed_row(g, n), (g, n)
+
+    @pytest.mark.parametrize("g,n", [(20, 300), (1, 2000), (50, 50), (50, 1)])
+    def test_exact_outside_the_domain(self, g, n):
+        row = _series_row(g, n)
+        assert row == closed_row(g, n)
+        assert sum(row) == total_dim_cohomology(g, n)
 
 class TestGenusZero:
     def test_small(self):
@@ -162,3 +182,30 @@ class TestRouter:
 
     def test_routes_positive_genus(self):
         assert poincare_polynomial(3, 5) == poincare_via_series(3, 5)
+
+
+GOOD_ARGS = {"g": 2, "n": 3, "r": 1}
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.0], ids=["true", "false", "float"])
+@pytest.mark.parametrize(
+    "fn,params",
+    [
+        (betti_closed, "gnr"),
+        (poincare_via_series, "gn"),
+        (poincare_genus_zero, "n"),
+        (poincare_polynomial, "gn"),
+        (total_dim_cohomology, "gn"),
+        (dim_sym_of_cohomology, "gn"),
+        (compare_dimensions, "gn"),
+        (genus_obstruction_report, "gn"),
+    ],
+    ids=lambda v: getattr(v, "__name__", v),
+)
+def test_refuses_non_int_arguments(fn, params, bad):
+    # True == 1, False == 0 and 2.0 == 2, so unchecked each would pass as an int
+    for i, name in enumerate(params):
+        args = [GOOD_ARGS[p] for p in params]
+        args[i] = bad
+        with pytest.raises(TypeError, match=f"^{name} must be int, got {bad!r}$"):
+            fn(*args)
