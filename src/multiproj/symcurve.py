@@ -1,13 +1,13 @@
 """Cohomology of symmetric products Sym^n(C) of a smooth genus-g curve.
 
-Two independent routes to the Betti numbers are implemented and cross-checked
-against each other in the test suite:
+Two independent routes to the Betti numbers are implemented, and each row
+returned for g >= 1 is checked against the other and the dimension formula:
 
 * the closed form  B_r = sum_j binom(2g, r - 2j)  for r <= n, extended to
   r > n by Poincare duality B_r = B_{2n-r};
 * the generating series (1 + tx)^{2g} / ((1 - t)(1 - tx^2)) of Macdonald,
-  whose t^n coefficient is the Poincare polynomial of Sym^n(C), expanded in
-  place on one dense table of integers, one pass per factor.
+  whose t^n coefficient, for every n up to one expansion's cap, is the
+  Poincare polynomial of Sym^n(C); it is expanded in place on one table.
 
 Genus 0 is special: Sym^n(P^1) = P^n, so its Betti numbers come from the
 projective-space rule (1 in each even degree) rather than the series, which is
@@ -35,13 +35,16 @@ class PoincarePolynomial:
     """Betti numbers B_0..B_{2n} of a compact space of complex dimension n.
 
     Validates the three structural facts every space here satisfies:
-    connectedness (B_0 = 1), nonnegativity, and Poincare duality.
+    connectedness (B_0 = 1), nonnegativity, and Poincare duality, on ints.
     """
 
     betti: tuple[int, ...]
     n: int
 
     def __post_init__(self):
+        object.__setattr__(self, "betti", tuple(self.betti))
+        if {type(self.n), *map(type, self.betti)} != {int}:  # a bool fails this too
+            _require_int(n=self.n, **{f"B_{r}": b for r, b in enumerate(self.betti)})
         if self.n < 0:
             raise ValueError("half-dimension n must be nonnegative")
         if len(self.betti) != 2 * self.n + 1:
@@ -97,7 +100,7 @@ class DimensionComparison:
 
 
 def _require_int(**values: object) -> None:
-    """Refuse a g, n or r that is not an int; a bool is not taken for one."""
+    """Refuse a value that is not an int; a bool is not taken for one."""
     for name, v in values.items():
         if not isinstance(v, int) or isinstance(v, bool):
             raise TypeError(f"{name} must be int, got {v!r}")
@@ -108,11 +111,19 @@ def _check_genus(g: int) -> None:
         raise ValueError(f"genus must be nonnegative, got {g}")
 
 
+def _closed_half(g: int, n: int) -> list[int]:
+    """B_0..B_n of Sym^m(C) for all m >= n, genus g >= 1: B_r = B_{r-2} + C(2g, r)."""
+    half = [binom(2 * g, r) if r <= 2 * g else 0 for r in range(n + 1)]
+    for r in range(2, n + 1):
+        half[r] += half[r - 2]
+    return half
+
+
 def betti_closed(g: int, n: int, r: int) -> int:
     """r-th Betti number of Sym^n(C) for a genus-g curve, g >= 1, closed form.
 
-    For r <= n this is sum_{j >= 0} binom(2g, r - 2j); for r > n it is
-    B_{2n-r} by duality.
+    For r <= n this is sum_{j >= 0} binom(2g, r - 2j), the last entry of
+    ``_closed_half(g, r)``; for r > n it is B_{2n-r} by duality.
     """
     _require_int(g=g, n=n, r=r)
     _check_genus(g)
@@ -124,13 +135,11 @@ def betti_closed(g: int, n: int, r: int) -> int:
         raise ValueError(f"n must be a positive integer, got {n}")
     if not 0 <= r <= 2 * n:
         raise ValueError(f"degree r must lie in [0, {2 * n}], got {r}")
-    if r > n:
-        r = 2 * n - r
-    return sum(binom(2 * g, r - 2 * j) for j in range(r // 2 + 1))
+    return _closed_half(g, min(r, 2 * n - r))[-1]
 
 
-def _series_row(g: int, n: int) -> list[int]:
-    """The t^n coefficient of (1 + tx)^{2g} / ((1 - t)(1 - tx^2)), dense in x.
+def _series_rows(g: int, n: int) -> list[list[int]]:
+    """The t^0..t^n coefficients of (1 + tx)^{2g} / ((1 - t)(1 - tx^2)), dense in x.
 
     One table: rows[k] is the x-polynomial at t^k, of length 2k + 1.  Each
     factor is one in-place pass over it.  Times (1 + tx) adds x * s_{k-1} to
@@ -147,15 +156,31 @@ def _series_row(g: int, n: int) -> list[int]:
             prev, row = rows[k - 1], rows[k]
             end = shift + len(prev)
             row[shift:end] = map(add, row[shift:end], prev)
-    return rows[n]
+    return rows
+
+
+def _poincare_rows(g: int, ns: range) -> list[PoincarePolynomial]:
+    """``poincare_polynomial(g, n)`` for each n in ``ns``, from one expansion.
+
+    Callers validate g and ``ns``.  For g >= 1 each row must equal the closed
+    form and sum to ``total_dim_cohomology``, or a RuntimeError says so.
+    """
+    if g == 0:
+        return [poincare_genus_zero(n) for n in ns]
+    rows, half = _series_rows(g, max(ns)), _closed_half(g, max(ns))
+    for n in ns:
+        if rows[n] != half[: n + 1] + half[n - 1 :: -1]:
+            raise RuntimeError(f"series/closed-form disagreement at g={g}, n={n}")
+        if sum(rows[n]) != total_dim_cohomology(g, n):
+            raise RuntimeError(f"Betti sum != dimension formula at g={g}, n={n}")
+    return [PoincarePolynomial(betti=tuple(rows[n]), n=n) for n in ns]
 
 
 def poincare_via_series(g: int, n: int) -> PoincarePolynomial:
     """Poincare polynomial of Sym^n(C), genus g >= 1, by series expansion.
 
-    Expands (1 + tx)^{2g}, divides it exactly by (1 - t) and then by
-    (1 - tx^2) with t truncated at n (see ``_series_row``), and reads off the
-    t^n coefficient.
+    Expands (1 + tx)^{2g} / ((1 - t)(1 - tx^2)) to t^n and reads off the t^n
+    coefficient, checked against the closed form and the sum formula.
     """
     _require_int(g=g, n=n)
     _check_genus(g)
@@ -166,10 +191,7 @@ def poincare_via_series(g: int, n: int) -> PoincarePolynomial:
         )
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    row = _series_row(g, n)
-    if not row[-1]:
-        raise AssertionError(f"series gave 0 at x^{2 * n} t^{n}, expected 1")
-    return PoincarePolynomial(betti=tuple(row), n=n)
+    return _poincare_rows(g, range(n, n + 1))[0]
 
 
 def poincare_genus_zero(n: int) -> PoincarePolynomial:

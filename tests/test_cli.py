@@ -277,6 +277,8 @@ class TestGlobalFlags:
         ),
         (("lefschetz-check", "20000"), 0, "irreducible: true"),
         (("lefschetz-check", "--partition", "6,6,6,6,6"), 0, "irreducible: false"),
+        (("table", "--genus", "1..60", "--n", "1..60", "--quiet"), 0, None),
+        (("table", "--genus", "1", "--n", "1..2000", "--quiet"), 0, None),
     ],
 )
 def test_large_input_finishes(args, code, line):

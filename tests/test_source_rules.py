@@ -1,6 +1,7 @@
 """Rules on the package source: no cache that grows without bound, no floats,
 no whole-matrix products, one writer of the command line's stdout, no sparse
-characters in the classifier, and no series container behind symcurve."""
+characters in the classifier, no series container behind symcurve, and no
+Betti number computed by the command line."""
 
 import ast
 from pathlib import Path
@@ -310,3 +311,52 @@ def test_symcurve_takes_only_binom_from_exactalg():
 )
 def test_rule_detects_exactalg_beyond_binom(source, flagged):
     assert bool(exactalg_beyond_binom(ast.parse(source))) is flagged
+
+
+CLI_SYMCURVE_NAMES = {"_poincare_rows", "compare_dimensions", "poincare_polynomial"}
+
+
+def symcurve_beyond_rows(tree):
+    """Line numbers that take from ``symcurve`` more than the CLI may use.
+
+    The command line prints the rows and comparisons ``symcurve`` checked;
+    ``betti_closed`` or ``total_dim_cohomology`` there would re-derive them.
+    """
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").rpartition(".")[2] == "symcurve":
+                lines += [node.lineno for a in node.names
+                          if a.name not in CLI_SYMCURVE_NAMES]
+            else:
+                lines += [node.lineno for a in node.names if a.name == "symcurve"]
+        elif isinstance(node, ast.Import):
+            names = (a.name.rpartition(".")[2] for a in node.names)
+            lines += [node.lineno for name in names if name == "symcurve"]
+    return lines
+
+
+def test_cli_takes_only_checked_rows_from_symcurve():
+    path = Path(multiproj.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert symcurve_beyond_rows(tree) == []
+
+
+@pytest.mark.parametrize(
+    "source,flagged",
+    [
+        ("from .symcurve import _poincare_rows, compare_dimensions", False),
+        ("from multiproj.symcurve import poincare_polynomial as pp", False),
+        ("from .exactalg import binom", False),
+        ("from .symcurve import poincare_polynomial, betti_closed", True),
+        ("from .symcurve import total_dim_cohomology", True),
+        ("from multiproj.symcurve import _series_rows", True),
+        ("from .symcurve import *", True),
+        ("from . import symcurve", True),
+        ("import multiproj.symcurve", True),
+    ],
+    ids=["rows", "alias", "other-module", "closed-form", "sum-formula",
+         "absolute", "star", "module", "import-module"],
+)
+def test_rule_detects_symcurve_beyond_rows(source, flagged):
+    assert bool(symcurve_beyond_rows(ast.parse(source))) is flagged

@@ -1,11 +1,15 @@
 """Symmetric-product cohomology: closed form vs series, dimension comparisons."""
 
+from fractions import Fraction
+
 import pytest
 
+from multiproj import cli, symcurve
 from multiproj.symcurve import (
     DimRelation,
     PoincarePolynomial,
-    _series_row,
+    _poincare_rows,
+    _series_rows,
     betti_closed,
     compare_dimensions,
     dim_sym_of_cohomology,
@@ -38,6 +42,27 @@ class TestPoincarePolynomial:
 
     def test_total(self):
         assert PoincarePolynomial(betti=(1, 2, 2, 2, 1), n=2).total() == 8
+
+    @pytest.mark.parametrize(
+        "betti,n,message",
+        [
+            ((1, 2, 1), True, "n must be int, got True"),
+            ((1, 2.0, 1), 1, "B_1 must be int, got 2.0"),
+            ((1, True, 1), 1, "B_1 must be int, got True"),
+            ((1, Fraction(2), 1), 1, "B_1 must be int, got Fraction(2, 1)"),
+        ],
+        ids=["n-bool", "float", "bool", "fraction"],
+    )
+    def test_refuses_non_int(self, betti, n, message):
+        # each value equals an int, so unchecked it would pass every other rule
+        with pytest.raises(TypeError) as info:
+            PoincarePolynomial(betti=betti, n=n)
+        assert str(info.value) == message
+
+    def test_stores_a_tuple(self):
+        pp = PoincarePolynomial(betti=[1, 2, 1], n=1)
+        assert pp.betti == (1, 2, 1)
+        assert hash(pp) == hash(PoincarePolynomial(betti=(1, 2, 1), n=1))
 
 
 class TestBettiClosed:
@@ -96,15 +121,20 @@ class TestSeries:
         # the series is only *stated* for g >= 1, but at g = 0 it degenerates
         # to 1/((1-t)(1-tx^2)) and still reproduces the projective-space rule;
         # read from the expansion itself since the library refuses g = 0
+        rows = _series_rows(0, 59)
         for n in range(1, 60):
-            assert tuple(_series_row(0, n)) == poincare_genus_zero(n).betti
+            assert tuple(rows[n]) == poincare_genus_zero(n).betti
 
     def test_top_coefficient_checked(self, monkeypatch):
-        # x^{2n} t^n has coefficient 1 (from (tx^2)^n); a 0 there is a bug
-        monkeypatch.setattr(
-            "multiproj.symcurve._series_row", lambda g, n: [1] + [0] * (2 * n)
-        )
-        with pytest.raises(AssertionError, match="x\\^4 t\\^2"):
+        # x^{2n} t^n has coefficient 1 (from (tx^2)^n); the closed-form check
+        # of the whole row catches a 0 there
+        def zero_top(g, n):
+            rows = _series_rows(g, n)
+            rows[n][-1] = 0
+            return rows
+
+        monkeypatch.setattr(symcurve, "_series_rows", zero_top)
+        with pytest.raises(RuntimeError, match="disagreement at g=1, n=2$"):
             poincare_via_series(1, 2)
 
 
@@ -115,14 +145,58 @@ def closed_row(g, n):
 class TestSeriesRow:
     @pytest.mark.parametrize("g", range(1, 11))
     def test_matches_closed_form_on_compute_domain(self, g):
-        for n in range(1, 121):
-            assert _series_row(g, n) == closed_row(g, n), (g, n)
+        rows = _series_rows(g, 120)
+        for k in range(1, 121):
+            assert rows[k] == closed_row(g, k), (g, k)
 
     @pytest.mark.parametrize("g,n", [(20, 300), (1, 2000), (50, 50), (50, 1)])
     def test_exact_outside_the_domain(self, g, n):
-        row = _series_row(g, n)
+        row = _series_rows(g, n)[n]
         assert row == closed_row(g, n)
         assert sum(row) == total_dim_cohomology(g, n)
+
+
+class TestPoincareRows:
+    @pytest.mark.parametrize("g", range(6))
+    @pytest.mark.parametrize(
+        "ns", [range(1, 31), range(1, 2), range(7, 8), range(5, 13)],
+        ids=["1..30", "1", "7", "5..12"],
+    )
+    def test_equals_poincare_polynomial(self, g, ns):
+        assert _poincare_rows(g, ns) == [poincare_polynomial(g, n) for n in ns]
+
+    def test_inner_row_checked(self, monkeypatch):
+        def bump_row_3(g, n):
+            rows = _series_rows(g, n)
+            rows[3][2] += 1
+            return rows
+
+        monkeypatch.setattr(symcurve, "_series_rows", bump_row_3)
+        with pytest.raises(
+            RuntimeError, match="^series/closed-form disagreement at g=2, n=3$"
+        ):
+            _poincare_rows(2, range(1, 6))
+
+    def test_sum_checked(self, monkeypatch):
+        monkeypatch.setattr(
+            symcurve, "total_dim_cohomology", lambda g, n: total_dim_cohomology(g, n) + 1
+        )
+        with pytest.raises(
+            RuntimeError, match="^Betti sum != dimension formula at g=2, n=4$"
+        ):
+            poincare_via_series(2, 4)
+
+    def test_table_expands_once_per_genus(self, monkeypatch):
+        calls = []
+
+        def counted(g, n):
+            calls.append((g, n))
+            return _series_rows(g, n)
+
+        monkeypatch.setattr(symcurve, "_series_rows", counted)
+        assert cli.main(["table", "--genus", "1..3", "--n", "2..6", "--quiet"]) == 0
+        assert calls == [(1, 6), (2, 6), (3, 6)]
+
 
 class TestGenusZero:
     def test_small(self):
