@@ -71,7 +71,7 @@ from .sl2rep import (
     tensor_character,
     tensor_irreps_character,
 )
-from .symcurve import _poincare_rows, compare_dimensions, poincare_polynomial
+from .symcurve import _compare, _poincare_rows, compare_dimensions, poincare_polynomial
 
 
 class _UsageError(Exception):
@@ -349,7 +349,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     doc = []
     for g in g_range:
         for pp in _poincare_rows(g, n_range):  # one series expansion per genus
-            dims = compare_dimensions(g, pp.n)
+            dims = _compare(g, pp.n, pp.total())  # the sum _poincare_rows checked
             doc.append(
                 {
                     "g": g,

@@ -7,7 +7,8 @@ returned for g >= 1 is checked against the other and the dimension formula:
   r > n by Poincare duality B_r = B_{2n-r};
 * the generating series (1 + tx)^{2g} / ((1 - t)(1 - tx^2)) of Macdonald,
   whose t^n coefficient, for every n up to one expansion's cap, is the
-  Poincare polynomial of Sym^n(C); it is expanded in place on one table.
+  Poincare polynomial of Sym^n(C); the numerator's binomial terms are written
+  into one table and divided in place, O(n^2) cells whatever g is.
 
 Genus 0 is special: Sym^n(P^1) = P^n, so its Betti numbers come from the
 projective-space rule (1 in each even degree) rather than the series, which is
@@ -111,6 +112,16 @@ def _check_genus(g: int) -> None:
         raise ValueError(f"genus must be nonnegative, got {g}")
 
 
+def _check(g: int, n: int, genus_zero: str = "", **more: object) -> None:
+    """Refuse non-ints, g < 0, g = 0 when ``genus_zero`` says why, then n < 1."""
+    _require_int(g=g, n=n, **more)
+    _check_genus(g)
+    if g == 0 and genus_zero:
+        raise ValueError(genus_zero)
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
+
+
 def _closed_half(g: int, n: int) -> list[int]:
     """B_0..B_n of Sym^m(C) for all m >= n, genus g >= 1: B_r = B_{r-2} + C(2g, r)."""
     half = [binom(2 * g, r) if r <= 2 * g else 0 for r in range(n + 1)]
@@ -125,14 +136,7 @@ def betti_closed(g: int, n: int, r: int) -> int:
     For r <= n this is sum_{j >= 0} binom(2g, r - 2j), the last entry of
     ``_closed_half(g, r)``; for r > n it is B_{2n-r} by duality.
     """
-    _require_int(g=g, n=n, r=r)
-    _check_genus(g)
-    if g == 0:
-        raise ValueError(
-            "betti_closed is stated for genus >= 1; use poincare_genus_zero"
-        )
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    _check(g, n, "betti_closed is stated for genus >= 1; use poincare_genus_zero", r=r)
     if not 0 <= r <= 2 * n:
         raise ValueError(f"degree r must lie in [0, {2 * n}], got {r}")
     return _closed_half(g, min(r, 2 * n - r))[-1]
@@ -141,18 +145,19 @@ def betti_closed(g: int, n: int, r: int) -> int:
 def _series_rows(g: int, n: int) -> list[list[int]]:
     """The t^0..t^n coefficients of (1 + tx)^{2g} / ((1 - t)(1 - tx^2)), dense in x.
 
-    One table: rows[k] is the x-polynomial at t^k, of length 2k + 1.  Each
-    factor is one in-place pass over it.  Times (1 + tx) adds x * s_{k-1} to
-    s_k for k descending, up to the t-power reached so far.  Dividing by
-    (1 - t), then by (1 - tx^2), is the forward substitution s_k += s_{k-1},
-    then s_k += x^2 * s_{k-1}, for k ascending.
+    One table: rows[k] is the x-polynomial at t^k, of length 2k + 1.  The
+    numerator to t^n is written in as binomial terms C(2g, i) t^i x^i, i <= n,
+    by the exact ratio C(2g, i) = C(2g, i - 1) * (2g - i + 1) / i.  Dividing by
+    (1 - t), then by (1 - tx^2), is s_k += s_{k-1}, then s_k += x^2 * s_{k-1},
+    for k ascending: two passes, O(n^2) cells whatever g is.
     """
     rows = [[0] * (2 * k + 1) for k in range(n + 1)]
-    rows[0][0] = 1
-    passes = [(1, range(min(p, n), 0, -1)) for p in range(1, 2 * g + 1)]
-    passes += [(0, range(1, n + 1)), (2, range(1, n + 1))]
-    for shift, ks in passes:
-        for k in ks:
+    c = 1
+    for i in range(min(n, 2 * g) + 1):
+        rows[i][i] = c
+        c = c * (2 * g - i) // (i + 1)
+    for shift in (0, 2):
+        for k in range(1, n + 1):
             prev, row = rows[k - 1], rows[k]
             end = shift + len(prev)
             row[shift:end] = map(add, row[shift:end], prev)
@@ -171,7 +176,7 @@ def _poincare_rows(g: int, ns: range) -> list[PoincarePolynomial]:
     for n in ns:
         if rows[n] != half[: n + 1] + half[n - 1 :: -1]:
             raise RuntimeError(f"series/closed-form disagreement at g={g}, n={n}")
-        if sum(rows[n]) != total_dim_cohomology(g, n):
+        if sum(rows[n]) != _total_dim(g, n):
             raise RuntimeError(f"Betti sum != dimension formula at g={g}, n={n}")
     return [PoincarePolynomial(betti=tuple(rows[n]), n=n) for n in ns]
 
@@ -182,15 +187,8 @@ def poincare_via_series(g: int, n: int) -> PoincarePolynomial:
     Expands (1 + tx)^{2g} / ((1 - t)(1 - tx^2)) to t^n and reads off the t^n
     coefficient, checked against the closed form and the sum formula.
     """
-    _require_int(g=g, n=n)
-    _check_genus(g)
-    if g == 0:
-        raise ValueError(
-            "the generating series is stated for genus >= 1; "
-            "use poincare_genus_zero"
-        )
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    _check(g, n, "the generating series is stated for genus >= 1; "
+           "use poincare_genus_zero")
     return _poincare_rows(g, range(n, n + 1))[0]
 
 
@@ -206,37 +204,32 @@ def poincare_genus_zero(n: int) -> PoincarePolynomial:
 
 def poincare_polynomial(g: int, n: int) -> PoincarePolynomial:
     """Route to the right formula by genus (series for g >= 1, P^n rule at 0)."""
-    _require_int(g=g, n=n)
-    _check_genus(g)
-    if g == 0:
+    # each route checks its arguments; a 0 that is not an int (False) is refused
+    if g == 0 and isinstance(g, int) and g is not False:
         return poincare_genus_zero(n)
     return poincare_via_series(g, n)
 
 
+def _total_dim(g: int, n: int) -> int:
+    """``total_dim_cohomology`` for a checked (g, n)."""
+    return sum(binom(2 * g, i) * (n + 1 - i) for i in range(min(n, 2 * g) + 1))
+
+
 def total_dim_cohomology(g: int, n: int) -> int:
     """dim H*(Sym^n C, C) = sum_{i=0}^{min(n,2g)} binom(2g, i) * (n+1-i)."""
-    _require_int(g=g, n=n)
-    _check_genus(g)
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    if g == 0:
-        return n + 1
-    return sum(binom(2 * g, i) * (n + 1 - i) for i in range(min(n, 2 * g) + 1))
+    _check(g, n)
+    return _total_dim(g, n)
 
 
 def dim_sym_of_cohomology(g: int, n: int) -> int:
     """dim Sym^n(H*(C, C)) = binom(2g + n + 1, n), H*(C) ungraded of dim 2g+2."""
-    _require_int(g=g, n=n)
-    _check_genus(g)
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    _check(g, n)
     return binom(2 * g + n + 1, n)
 
 
-def compare_dimensions(g: int, n: int) -> DimensionComparison:
-    """Compare dim H*(Sym^n C) with dim Sym^n(H*(C)) for any n >= 1."""
-    total = total_dim_cohomology(g, n)
-    sym = dim_sym_of_cohomology(g, n)
+def _compare(g: int, n: int, total: int) -> DimensionComparison:
+    """``compare_dimensions`` for a checked (g, n) with dim H*(Sym^n C) = ``total``."""
+    sym = binom(2 * g + n + 1, n)
     if total == sym:
         rel = DimRelation.EQUAL
     elif total < sym:
@@ -244,6 +237,12 @@ def compare_dimensions(g: int, n: int) -> DimensionComparison:
     else:
         rel = DimRelation.STRICTLY_GREATER
     return DimensionComparison(g=g, n=n, total_dim=total, sym_dim=sym, relation=rel)
+
+
+def compare_dimensions(g: int, n: int) -> DimensionComparison:
+    """Compare dim H*(Sym^n C) with dim Sym^n(H*(C)) for any n >= 1."""
+    _check(g, n)
+    return _compare(g, n, _total_dim(g, n))
 
 
 def genus_obstruction_report(g: int, n: int) -> DimensionComparison:
@@ -260,4 +259,4 @@ def genus_obstruction_report(g: int, n: int) -> DimensionComparison:
         raise ValueError(
             f"comparison needs n >= 2 (both sides coincide at n = 1), got {n}"
         )
-    return compare_dimensions(g, n)
+    return _compare(g, n, _total_dim(g, n))

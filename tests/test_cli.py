@@ -279,6 +279,13 @@ class TestGlobalFlags:
         (("lefschetz-check", "--partition", "6,6,6,6,6"), 0, "irreducible: false"),
         (("table", "--genus", "1..60", "--n", "1..60", "--quiet"), 0, None),
         (("table", "--genus", "1", "--n", "1..2000", "--quiet"), 0, None),
+        (("betti", "--genus", "1000000000000", "--n", "1"), 0, "1,2000000000000,1"),
+        (
+            ("betti", "--genus", "10000", "--n", "100", "--sum"),
+            0,
+            str(total_dim_cohomology(10000, 100)),
+        ),
+        (("table", "--genus", "0..9999", "--n", "1", "--quiet"), 0, None),
     ],
 )
 def test_large_input_finishes(args, code, line):

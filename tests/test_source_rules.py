@@ -1,7 +1,8 @@
 """Rules on the package source: no cache that grows without bound, no floats,
 no whole-matrix products, one writer of the command line's stdout, no sparse
-characters in the classifier, no series container behind symcurve, and no
-Betti number computed by the command line."""
+characters in the classifier, no series container behind symcurve, no closed
+form inside the series expansion, and no Betti number computed by the command
+line."""
 
 import ast
 from pathlib import Path
@@ -313,7 +314,58 @@ def test_rule_detects_exactalg_beyond_binom(source, flagged):
     assert bool(exactalg_beyond_binom(ast.parse(source))) is flagged
 
 
-CLI_SYMCURVE_NAMES = {"_poincare_rows", "compare_dimensions", "poincare_polynomial"}
+CLOSED_FORM_NAMES = {"binom", "comb", "_closed_half"}
+
+
+def closed_form_in_series(tree):
+    """Line numbers inside ``_series_rows`` that name ``binom``, ``comb`` or
+    ``_closed_half``.
+
+    Each Betti row is checked against the closed form; a series expansion that
+    took its coefficients from the closed form would check nothing.
+    """
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "_series_rows":
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.alias):  # an import, under any asname
+                    name = inner.name.rpartition(".")[2]
+                else:
+                    name = getattr(inner, "id", getattr(inner, "attr", None))
+                if name in CLOSED_FORM_NAMES:
+                    lines.append(inner.lineno)
+    return lines
+
+
+def test_series_rows_names_no_closed_form():
+    path = Path(multiproj.__file__).parent / "symcurve.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert "_series_rows" in defined
+    assert closed_form_in_series(tree) == []
+
+
+@pytest.mark.parametrize(
+    "source,flagged",
+    [
+        ("def _series_rows(g, n):\n    return [binom(2 * g, i) for i in g]", True),
+        ("def _series_rows(g, n):\n    return math.comb(2 * g, n)", True),
+        ("def _series_rows(g, n):\n    from math import comb as c\n    return c", True),
+        ("def _series_rows(g, n):\n    return _closed_half(g, n)", True),
+        ("def _series_rows(g, n):\n    c = c * (2 * g - i) // (i + 1)", False),
+        ("def _closed_half(g, n):\n    return binom(2 * g, n)", False),
+        ("from .exactalg import binom\ndef _series_rows(g, n): pass", False),
+    ],
+    ids=["binom", "math-comb", "import-comb-as", "closed-half", "ratio",
+         "other-function", "module-import"],
+)
+def test_rule_detects_closed_form_in_series(source, flagged):
+    assert bool(closed_form_in_series(ast.parse(source))) is flagged
+
+
+CLI_SYMCURVE_NAMES = {
+    "_compare", "_poincare_rows", "compare_dimensions", "poincare_polynomial"
+}
 
 
 def symcurve_beyond_rows(tree):
@@ -321,6 +373,7 @@ def symcurve_beyond_rows(tree):
 
     The command line prints the rows and comparisons ``symcurve`` checked;
     ``betti_closed`` or ``total_dim_cohomology`` there would re-derive them.
+    ``_compare`` takes the total of a checked row and derives no Betti number.
     """
     lines = []
     for node in ast.walk(tree):
@@ -346,17 +399,19 @@ def test_cli_takes_only_checked_rows_from_symcurve():
     "source,flagged",
     [
         ("from .symcurve import _poincare_rows, compare_dimensions", False),
+        ("from .symcurve import _compare", False),
         ("from multiproj.symcurve import poincare_polynomial as pp", False),
         ("from .exactalg import binom", False),
         ("from .symcurve import poincare_polynomial, betti_closed", True),
         ("from .symcurve import total_dim_cohomology", True),
         ("from multiproj.symcurve import _series_rows", True),
+        ("from .symcurve import _compare, _total_dim", True),
         ("from .symcurve import *", True),
         ("from . import symcurve", True),
         ("import multiproj.symcurve", True),
     ],
-    ids=["rows", "alias", "other-module", "closed-form", "sum-formula",
-         "absolute", "star", "module", "import-module"],
+    ids=["rows", "compare", "alias", "other-module", "closed-form", "sum-formula",
+         "absolute", "unchecked-sum", "star", "module", "import-module"],
 )
 def test_rule_detects_symcurve_beyond_rows(source, flagged):
     assert bool(symcurve_beyond_rows(ast.parse(source))) is flagged

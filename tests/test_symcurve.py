@@ -1,6 +1,7 @@
 """Symmetric-product cohomology: closed form vs series, dimension comparisons."""
 
 from fractions import Fraction
+from operator import add
 
 import pytest
 
@@ -142,7 +143,37 @@ def closed_row(g, n):
     return [betti_closed(g, n, r) for r in range(2 * n + 1)]
 
 
+def factor_by_factor_rows(g, n):
+    """Oracle: the series expanded one factor at a time on one table.
+
+    Times (1 + tx) is one pass per factor, 2g in all, adding x * s_{k-1} to s_k
+    for k descending up to the t-power reached so far; then the two forward
+    division passes.  O(min(2g, n)^3 + max(0, 2g - n) * n^2) cells.
+    """
+    rows = [[0] * (2 * k + 1) for k in range(n + 1)]
+    rows[0][0] = 1
+    passes = [(1, range(min(p, n), 0, -1)) for p in range(1, 2 * g + 1)]
+    passes += [(0, range(1, n + 1)), (2, range(1, n + 1))]
+    for shift, ks in passes:
+        for k in ks:
+            prev, row = rows[k - 1], rows[k]
+            end = shift + len(prev)
+            row[shift:end] = map(add, row[shift:end], prev)
+    return rows
+
+
 class TestSeriesRow:
+    @pytest.mark.parametrize("g", range(11))
+    def test_equals_factor_by_factor_oracle(self, g):
+        # a table to t^n is the first n + 1 rows of the table to t^120
+        oracle = factor_by_factor_rows(g, 120)
+        for n in range(1, 121):
+            assert _series_rows(g, n) == oracle[: n + 1], (g, n)
+
+    @pytest.mark.parametrize("g,n", [(20, 300), (1, 2000), (50, 50), (50, 1)])
+    def test_equals_factor_by_factor_oracle_outside_the_domain(self, g, n):
+        assert _series_rows(g, n) == factor_by_factor_rows(g, n)
+
     @pytest.mark.parametrize("g", range(1, 11))
     def test_matches_closed_form_on_compute_domain(self, g):
         rows = _series_rows(g, 120)
@@ -178,9 +209,8 @@ class TestPoincareRows:
             _poincare_rows(2, range(1, 6))
 
     def test_sum_checked(self, monkeypatch):
-        monkeypatch.setattr(
-            symcurve, "total_dim_cohomology", lambda g, n: total_dim_cohomology(g, n) + 1
-        )
+        total_dim = symcurve._total_dim
+        monkeypatch.setattr(symcurve, "_total_dim", lambda g, n: total_dim(g, n) + 1)
         with pytest.raises(
             RuntimeError, match="^Betti sum != dimension formula at g=2, n=4$"
         ):
@@ -196,6 +226,18 @@ class TestPoincareRows:
         monkeypatch.setattr(symcurve, "_series_rows", counted)
         assert cli.main(["table", "--genus", "1..3", "--n", "2..6", "--quiet"]) == 0
         assert calls == [(1, 6), (2, 6), (3, 6)]
+
+    def test_table_sums_each_cell_once(self, monkeypatch):
+        # the sum check evaluates the dimension formula; the comparison reuses it
+        calls, total_dim = [], symcurve._total_dim
+
+        def counted(g, n):
+            calls.append((g, n))
+            return total_dim(g, n)
+
+        monkeypatch.setattr(symcurve, "_total_dim", counted)
+        assert cli.main(["table", "--genus", "0..2", "--n", "2..4", "--quiet"]) == 0
+        assert calls == [(g, n) for g in (1, 2) for n in (2, 3, 4)]
 
 
 class TestGenusZero:
@@ -283,3 +325,30 @@ def test_refuses_non_int_arguments(fn, params, bad):
         args[i] = bad
         with pytest.raises(TypeError, match=f"^{name} must be int, got {bad!r}$"):
             fn(*args)
+
+
+@pytest.mark.parametrize(
+    "fn,args",
+    [
+        (betti_closed, (2, 3, 1)),
+        (poincare_via_series, (2, 3)),
+        (poincare_genus_zero, (3,)),
+        (poincare_polynomial, (2, 3)),
+        (poincare_polynomial, (0, 3)),
+        (total_dim_cohomology, (2, 3)),
+        (dim_sym_of_cohomology, (2, 3)),
+        (compare_dimensions, (2, 3)),
+        (genus_obstruction_report, (2, 3)),
+    ],
+    ids=lambda v: getattr(v, "__name__", None) or "-".join(map(str, v)),
+)
+def test_checks_arguments_once(monkeypatch, fn, args):
+    calls, require_int = [], symcurve._require_int
+
+    def counted(**values):
+        calls.append(values)
+        require_int(**values)
+
+    monkeypatch.setattr(symcurve, "_require_int", counted)
+    fn(*args)
+    assert len(calls) == 1, calls
