@@ -150,14 +150,21 @@ def _more_digits(g: int, n: int, digits: int) -> bool:
 
     b runs through C(a - k + i, i) for i = 1..k, the last being C(a, k) with
     k = min(n, 2g+1) <= a/2, so b at least doubles at each step and the loop
-    stops within about 3.3 * digits steps of reaching the bound.
+    stops within about 3.3 * digits steps of reaching the bound.  A b under
+    2^(3 digits) is below 10^digits and one of at least 2^(4 digits) above
+    it, so the power 10^digits is formed only for a b between the two.
     """
     a, k = 2 * g + n + 1, min(n, 2 * g + 1)
-    bound, b = 10**digits, 1
+    bound, b = None, 1
     for i in range(1, k + 1):
         b = b * (a - k + i) // i
-        if b >= bound:
+        bits = b.bit_length()
+        if bits > 4 * digits:
             return True
+        if bits > 3 * digits:
+            bound = bound or 10**digits
+            if b >= bound:
+                return True
     return False
 
 

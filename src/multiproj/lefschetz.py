@@ -18,9 +18,9 @@ is not integral, so the modules built here never leave the integers.  Bracket
 verification, character extraction, Kuenneth tensor products and the
 irreducibility test (kernel of X plus the Y-orbit of a highest-weight vector)
 are all exact; the ranks of X's weight blocks come from one sparse
-primitive-row elimination over the integers.  The brackets are checked and
-the tensor products built one row at a time, so no whole-matrix product is
-ever formed.
+primitive-row elimination over the integers, stopped at each block's full
+rank.  The brackets are checked and the tensor products built one row at a
+time, so no whole-matrix product is ever formed.
 """
 
 from __future__ import annotations
@@ -119,37 +119,42 @@ class RatMatrix:
 def _echelon(rows: Iterable[Mapping]) -> tuple[list[int], list[dict]]:
     """Pivot columns and echelon rows of a sparse integer matrix, in pivot order.
 
-    Sparse primitive-row elimination: each row (column -> int) is reduced by
-    the pivot rows found so far, leading column first, as a*row - b*pivot_row
-    (a, b the two leading entries over their gcd), then divided by its
-    content.  Only integers occur, the input is not changed, the echelon rows
-    have the kernel of the input, and the rank is the number of pivots.
+    Each row is reduced by :func:`_reduce_row` on a copy without zeros; the
+    echelon rows have the input's kernel, and the rank is the number of pivots.
     """
     by_lead: dict[int, dict[int, int]] = {}
     for row in rows:
-        row = {c: v for c, v in row.items() if v}
-        while row:
-            g = math.gcd(*row.values())
-            if g > 1:
-                row = {c: v // g for c, v in row.items()}
-            lead = min(row)
-            pivot_row = by_lead.get(lead)
-            if pivot_row is None:
-                by_lead[lead] = row
-                break
-            g = math.gcd(pivot_row[lead], row[lead])
-            a, b = pivot_row[lead] // g, row[lead] // g
-            if a != 1:
-                for c in row:  # row is this call's own copy, so update it in place
-                    row[c] *= a
-            for c, v in pivot_row.items():
-                s = row.get(c, 0) - b * v
-                if s:
-                    row[c] = s
-                else:
-                    del row[c]
+        _reduce_row(by_lead, {c: v for c, v in row.items() if v})
     pivots = sorted(by_lead)
     return pivots, [by_lead[c] for c in pivots]
+
+
+def _reduce_row(by_lead: dict[int, dict[int, int]], row: dict[int, int]) -> None:
+    """Reduce one row (column -> nonzero int, the caller's own copy) in place.
+
+    Leading column first, row := (a*row - b*pivot_row) / content, with a, b
+    the two leading entries over their gcd; a nonzero remainder is a pivot row.
+    """
+    while row:
+        g = math.gcd(*row.values())
+        if g > 1:
+            row = {c: v // g for c, v in row.items()}
+        lead = min(row)
+        pivot_row = by_lead.get(lead)
+        if pivot_row is None:
+            by_lead[lead] = row
+            return
+        g = math.gcd(pivot_row[lead], row[lead])
+        a, b = pivot_row[lead] // g, row[lead] // g
+        if a != 1:
+            for c in row:
+                row[c] *= a
+        for c, v in pivot_row.items():
+            s = row.get(c, 0) - b * v
+            if s:
+                row[c] = s
+            else:
+                del row[c]
 
 
 @dataclass(frozen=True)
@@ -246,33 +251,29 @@ class BracketReport:
 def verify_brackets(m: Sl2MatrixModule) -> BracketReport:
     """Check [X,Y]=H, [H,X]=2X, [H,Y]=-2Y as exact matrix identities.
 
-    Each check reports the numerator of its largest |entry| of lhs - rhs.
-    Row i of XY - YX - H is X's row i times Y's rows, minus Y's row i times
-    X's rows, minus H_ii at column i; only the running maximum outlives the
-    row.  H = diag(basis_weights) by definition, so the gap of [H,X] = 2X is
-    (w_i - w_j - 2) X_ij entrywise, and that of [H,Y] = -2Y is
-    (w_i - w_j + 2) Y_ij: one pass over the nonzeros each.
+    Each check reports the numerator of its largest |entry| of lhs - rhs, from
+    one visit to each row.  Row i of XY - YX - H is X's row i times Y's rows,
+    minus Y's row i times X's rows, minus H_ii at column i.  H is
+    diag(basis_weights), so row i of [H,X] - 2X is (w_i - w_k - 2) X_ik, and
+    that of [H,Y] + 2Y is (w_i - w_k + 2) Y_ik.
     """
     w = m.basis_weights
     x_rows, y_rows = m.X._rows, m.Y._rows
-    xy = 0
+    xy = hx = hy = 0
     for i in range(m.dim):
         row = {i: -w[i]}
         for k, a in x_rows[i].items():
+            if w[i] - w[k] != 2:
+                hx = max(hx, abs((w[i] - w[k] - 2) * a))
             for j, b in y_rows[k].items():
                 row[j] = row.get(j, 0) + a * b
         for k, a in y_rows[i].items():
+            if w[i] - w[k] != -2:
+                hy = max(hy, abs((w[i] - w[k] + 2) * a))
             for j, b in x_rows[k].items():
                 row[j] = row.get(j, 0) - a * b
         xy = max(xy, *map(abs, row.values()))
-    gaps = [("XY-YX=H", xy)]
-    for name, rows, shift in (("HX-XH=2X", x_rows, 2), ("HY-YH=-2Y", y_rows, -2)):
-        terms = (
-            (w[i] - w[j] - shift) * v
-            for i, row in enumerate(rows)
-            for j, v in row.items()
-        )
-        gaps.append((name, max(map(abs, terms), default=0)))
+    gaps = (("XY-YX=H", xy), ("HX-XH=2X", hx), ("HY-YH=-2Y", hy))
     return BracketReport(
         tuple(RelationCheck(name, gap == 0, gap.numerator) for name, gap in gaps)
     )
@@ -328,28 +329,28 @@ def _weight_indices(m: Sl2MatrixModule) -> dict[int, list[int]]:
     return spaces
 
 
-def _x_block(m: Sl2MatrixModule, spaces: dict[int, list[int]], w: int):
-    """X on the weight-w space, one sparse row per weight-(w+2) basis vector.
-
-    Column k is the k-th weight-w basis vector by descending index.  In a
-    tensor module the row of basis vector r then leads at r plus the stride
-    of its first factor that is not at its lowest weight, so most rows lead
-    at distinct columns, only the others need elimination, and fill-in
-    stays small.  A row with Fraction entries is scaled by the lcm of their
-    denominators, which keeps the kernel.
-    """
-    pos = {c: k for k, c in enumerate(reversed(spaces[w]))}
-    for r in spaces.get(w + 2, ()):
-        row = m.X._rows[r]
-        scale = math.lcm(*(v.denominator for v in row.values()))
-        yield {pos[j]: int(v * scale) for j, v in row.items()}
-
-
 def _x_kernel_dims(m: Sl2MatrixModule, spaces: dict[int, list[int]]):
-    """Kernel dimension of X on each weight space, from the top weight down."""
+    """Kernel dimension of X on each weight space, from the top weight down.
+
+    X's rows at the weight-(w+2) basis vectors, keyed by negated column, are
+    its block on weight w; each leads at its largest column, in a tensor
+    module at r plus the stride of r's first factor not at its lowest weight,
+    so most rows lead at distinct columns and fill-in stays small.  A row
+    holding a Fraction is scaled by the lcm of its denominators.  A block
+    takes no row once its rank equals its column count, which every block
+    below weight 0 of a genuine sl(2)-module reaches.
+    """
     for w in sorted(spaces, reverse=True):
-        pivots, _ = _echelon(_x_block(m, spaces, w))
-        yield w, len(spaces[w]) - len(pivots)
+        ncols, by_lead = len(spaces[w]), {}
+        for r in spaces.get(w + 2, ()):
+            if len(by_lead) == ncols:
+                break
+            row = {-j: v for j, v in m.X._rows[r].items()}
+            if Fraction in map(type, row.values()):
+                scale = math.lcm(*(v.denominator for v in row.values()))
+                row = {c: int(v * scale) for c, v in row.items()}
+            _reduce_row(by_lead, row)
+        yield w, ncols - len(by_lead)
 
 
 def highest_weight_multiplicities(m: Sl2MatrixModule) -> dict[int, int]:
@@ -358,8 +359,7 @@ def highest_weight_multiplicities(m: Sl2MatrixModule) -> dict[int, int]:
     For a module satisfying the bracket relations these counts are the
     multiplicities of the Clebsch-Gordan decomposition.
     """
-    spaces = _weight_indices(m)
-    return {w: dim for w, dim in _x_kernel_dims(m, spaces) if dim}
+    return {w: dim for w, dim in _x_kernel_dims(m, _weight_indices(m)) if dim}
 
 
 def is_irreducible(m: Sl2MatrixModule) -> bool:

@@ -369,6 +369,15 @@ def test_digit_bound_is_exact():
             assert cli._more_digits(g, n, digits - 1)
 
 
+def test_digit_bound_decides_as_the_power_of_ten():
+    # bit lengths decide outside the band 2^(3 digits) <= b < 2^(4 digits)
+    for g in range(0, 60, 7):
+        for n in range(1, 800, 41):
+            value = math.comb(2 * g + n + 1, n)
+            for digits in range(0, 400, 3):
+                assert cli._more_digits(g, n, digits) == (value >= 10**digits)
+
+
 # Each limit lowered to the size of a cheap request: at the limit the request
 # is answered, one below it (the request one past the limit) it is refused.
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import cProfile
 import dataclasses
+import math
 import pstats
 import random
 import subprocess
@@ -9,7 +10,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from functools import reduce
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 
@@ -19,7 +20,7 @@ from multiproj.lefschetz import (
     RelationCheck,
     _echelon,
     _weight_indices,
-    _x_block,
+    _x_kernel_dims,
     Sl2MatrixModule,
     build_cohomology_module,
     highest_weight_multiplicities,
@@ -173,6 +174,36 @@ def dense_echelon(
         prev = p
         pivots.append(col)
     return pivots, rows[: len(pivots)]
+
+
+def dense_kernel_dims(m):
+    """Kernel dimension of X on each weight space, each block by dense_echelon.
+
+    The block of weight w has a row per weight-(w+2) basis vector and a column
+    per weight-w one, each row cleared of denominators.
+    """
+    spaces = _weight_indices(m)
+    dims = {}
+    for w, cols in spaces.items():
+        block = []
+        for r in spaces.get(w + 2, ()):
+            row = [Fraction(m.X.entry(r, c)) for c in cols]
+            scale = math.lcm(*(v.denominator for v in row))
+            block.append([int(v * scale) for v in row])
+        dims[w] = len(cols) - len(dense_echelon(block, len(cols))[0])
+    return dims
+
+
+def dense_is_irreducible(m):
+    """is_irreducible from dense_kernel_dims and whole-matrix Y-images."""
+    dims = dense_kernel_dims(m)
+    top = max(dims)
+    if [w for w, d in dims.items() if d] != [top] or dims[top] != 1:
+        return False
+    vec, count = {m.basis_weights.index(top): 1}, 0
+    while vec:
+        vec, count = m.Y.apply(vec), count + 1
+    return count == m.dim
 
 
 def _rank(rows: list[list[int]], ncols: int) -> int:
@@ -454,6 +485,17 @@ class TestBrackets:
             failing += not report.all_pass
         assert failing > 250
 
+    def test_off_grading_entries_match_products(self):
+        # entries written past the weight check give [H,X] and [H,Y] gaps,
+        # which the row loop finds on the same visit as the [X,Y] gap
+        m = tensor_of((2, 1))
+        m.X._rows[0][0] = Fraction(3, 2)
+        m.Y._rows[1][4] = -5
+        report = verify_brackets(m)
+        assert report == product_brackets(m)
+        gaps = [c.max_abs_discrepancy_numerator for c in report.checks]
+        assert gaps[1:] == [3, 20]
+
     def test_no_product_held_in_memory(self):
         # the check keeps one row at a time, not a product matrix
         tracemalloc.start()
@@ -563,7 +605,7 @@ def test_large_tensor_multiplicities_finish():
 
 
 # Together these take 15-17 s with the blocks' columns in ascending basis
-# order, and about 2 s in descending order (see _x_block).
+# order, and about 2 s in descending order (see _x_kernel_dims).
 LARGER_TENSORS = """
 from functools import reduce
 from multiproj.lefschetz import (
@@ -627,14 +669,75 @@ class TestEliminator:
         blocks = 0
         for parts in [t for r in (3, 4) for t in product(range(2, 5), repeat=r)]:
             m = tensor_of(parts)
-            spaces = _weight_indices(m)
-            for w, cols in spaces.items():
-                block = list(_x_block(m, spaces, w))
-                dense = [[row.get(c, 0) for c in range(len(cols))] for row in block]
-                pivots, _ = _echelon(block)
-                assert len(pivots) == len(dense_echelon(dense, len(cols))[0])
-                blocks += 1
+            scan = dict(_x_kernel_dims(m, _weight_indices(m)))
+            assert scan == dense_kernel_dims(m)
+            blocks += len(scan)
         assert blocks > 1000
+
+    def test_full_rank_stop_agrees_with_dense_blocks(self):
+        # random integer modules whose weight spaces grow strictly towards
+        # weight 0, so each negative-weight block has more rows than columns;
+        # the blocks come from random_integer_rows, so many are rank-deficient
+        rng = random.Random(20261019)
+        deficient = 0
+        for _ in range(400):
+            top = rng.randint(2, 5)
+            sizes = list(accumulate(rng.randint(1, 2) for _ in range(top // 2 + 1)))
+            weights = tuple(
+                w
+                for w in range(top, -top - 1, -2)
+                for _ in range(sizes[(top - abs(w)) // 2])
+            )
+            spaces = {}
+            for i, w in enumerate(weights):
+                spaces.setdefault(w, []).append(i)
+            x = {}
+            for w, cols in spaces.items():
+                rows = spaces.get(w + 2, [])
+                block = random_integer_rows(rng, len(rows), len(cols))
+                for r, values in zip(rows, block):
+                    x.update({(r, c): v for c, v in zip(cols, values)})
+            d = len(weights)
+            y = {(i + 1, i): 1 for i in range(d - 1) if weights[i + 1] == weights[i] - 2}
+            m = Sl2MatrixModule(RatMatrix(d, d, x), RatMatrix(d, d, y), weights)
+            dims = dense_kernel_dims(m)
+            assert dict(_x_kernel_dims(m, spaces)) == dims
+            assert highest_weight_multiplicities(m) == {
+                w: k for w, k in dims.items() if k
+            }
+            assert is_irreducible(m) == dense_is_irreducible(m)
+            deficient += any(k for w, k in dims.items() if w < 0)
+        assert deficient > 100
+
+    @pytest.mark.parametrize("factor", [0, 1, Fraction(1, 2), Fraction(2, 3)])
+    @pytest.mark.parametrize("parts", [(3,), (5,), (2, 1), (1, 1, 1), (4, 2), (3, 3)])
+    def test_full_rank_stop_on_broken_and_fraction_modules(self, parts, factor):
+        m = with_x(tensor_of(parts), factor)
+        dims = dense_kernel_dims(m)
+        assert dict(_x_kernel_dims(m, _weight_indices(m))) == dims
+        assert highest_weight_multiplicities(m) == {w: k for w, k in dims.items() if k}
+        assert is_irreducible(m) == dense_is_irreducible(m)
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            with_x(build_cohomology_module(3), 0),
+            dataclasses.replace(
+                build_cohomology_module(3), Y=RatMatrix(4, 4, {(1, 0): 1, (3, 2): 1})
+            ),
+            Sl2MatrixModule(
+                X=RatMatrix(4, 4, {(0, 2): 1, (1, 3): 1}),
+                Y=RatMatrix(4, 4, {(2, 0): 1, (3, 1): 1}),
+                basis_weights=(1, 1, -1, -1),
+            ),
+        ],
+        ids=["zero-x", "short-y-orbit", "two-top-vectors"],
+    )
+    def test_full_rank_stop_on_reducible_modules(self, m):
+        dims = dense_kernel_dims(m)
+        assert highest_weight_multiplicities(m) == {w: k for w, k in dims.items() if k}
+        assert not is_irreducible(m)
+        assert not dense_is_irreducible(m)
 
     def test_input_rows_unchanged(self):
         rows = [{0: 2, 1: 4, 3: 0}, {0: 3, 2: 1}, {0: 6, 1: 12, 3: 0}, {}]
@@ -666,6 +769,16 @@ class TestEliminator:
         profile.runcall(highest_weight_multiplicities, m)
         called = pstats.Stats(profile).stats
         assert not [f for f in called if f[2] == "row_items"]
+
+    def test_full_rank_stop_skips_rows(self):
+        # the stop leaves 129 of X's 1295 nonzero rows unreduced on (5,5,5,5)
+        m = tensor_of((5, 5, 5, 5))
+        profile = cProfile.Profile()
+        profile.runcall(highest_weight_multiplicities, m)
+        called = pstats.Stats(profile).stats
+        steps = [v[1] for f, v in called.items() if f[2] == "_reduce_row"]
+        assert sum(1 for i in range(m.dim) if m.X.row_items(i)) == 1295
+        assert steps == [1166]
 
     def test_integer_modules_create_no_fraction(self):
         m = tensor_of((3, 2, 1))
