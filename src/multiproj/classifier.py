@@ -154,9 +154,10 @@ def classify(p1: Partition, p2: Partition) -> ClassificationVerdict:
     dense product of q-integers, and peeled once.  The peeled labels must
     equal the partition, which implies the rebuild-and-compare that
     :func:`factor_tensor_of_irreps` makes for a character it did not build.
-    If that evidence ever failed to round-trip, or two distinct partitions
-    ever shared a character, unique tensor factorization itself would be
-    violated -- those turn into RuntimeError, never into a quiet verdict.
+    That round trip also rules out two distinct partitions sharing a
+    character: the peel is a function of the character alone.  A failed
+    round trip would violate unique tensor factorization itself; it raises
+    RuntimeError, never a quiet verdict.
     """
     if p1.n != p2.n:
         return ClassificationVerdict(
@@ -173,11 +174,6 @@ def classify(p1: Partition, p2: Partition) -> ClassificationVerdict:
         )
     if p1 == p2:
         verdict, reason = Verdict.ISOMORPHIC, Reason.SAME_PARTITION
-    elif c1 == c2:
-        raise RuntimeError(
-            f"distinct partitions {p1} and {p2} produced equal characters; "
-            "this contradicts unique tensor factorization"
-        )
     else:
         verdict, reason = Verdict.NON_ISOMORPHIC, Reason.DISTINCT_CHARACTERS
     return ClassificationVerdict(

@@ -50,6 +50,7 @@ import json
 import sys
 from dataclasses import asdict
 from functools import reduce
+from itertools import islice
 from math import prod
 from typing import Sequence
 
@@ -106,13 +107,17 @@ def _parse_range(text: str, what: str, minimum: int) -> range:
 def _emit(args: argparse.Namespace, doc, rows: list[dict], text: str) -> None:
     """Write a command's result to stdout: ``doc``, ``rows`` or ``text``.
 
-    JSON is ``doc``; CSV is ``rows`` under a header of the first row's keys,
-    with ``None`` written as empty; the table format is ``text``.
+    JSON is ``doc``, written 4096 encoder pieces at a time, never as one
+    string; CSV is ``rows`` under a header of the first row's keys, with
+    ``None`` written as empty; the table format is ``text``.
     """
     if args.quiet:
         return
     if args.format == "json":
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        chunks = json.JSONEncoder(indent=2).iterencode(doc)
+        while batch := "".join(islice(chunks, 4096)):
+            sys.stdout.write(batch)
+        sys.stdout.write("\n")
     elif args.format == "csv":
         writer = csv.DictWriter(sys.stdout, list(rows[0]), lineterminator="\n")
         writer.writeheader()

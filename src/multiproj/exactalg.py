@@ -117,10 +117,7 @@ class LaurentPoly:
         return LaurentPoly(out)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            out[e] = out.get(e, 0) - c
-        return LaurentPoly(out)
+        return self + -other
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         out: dict[int, int] = {}

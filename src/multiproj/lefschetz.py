@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .exactalg import _exact
+from .exactalg import LaurentPoly, _exact
 from .sl2rep import Character
 
 
@@ -114,19 +114,6 @@ class RatMatrix:
     def __repr__(self) -> str:
         nnz = sum(len(r) for r in self._rows)
         return f"<RatMatrix {self.nrows}x{self.ncols}, {nnz} nonzero>"
-
-
-def _echelon(rows: Iterable[Mapping]) -> tuple[list[int], list[dict]]:
-    """Pivot columns and echelon rows of a sparse integer matrix, in pivot order.
-
-    Each row is reduced by :func:`_reduce_row` on a copy without zeros; the
-    echelon rows have the input's kernel, and the rank is the number of pivots.
-    """
-    by_lead: dict[int, dict[int, int]] = {}
-    for row in rows:
-        _reduce_row(by_lead, {c: v for c, v in row.items() if v})
-    pivots = sorted(by_lead)
-    return pivots, [by_lead[c] for c in pivots]
 
 
 def _reduce_row(by_lead: dict[int, dict[int, int]], row: dict[int, int]) -> None:
@@ -313,13 +300,8 @@ def _leibniz(p: RatMatrix, q: RatMatrix) -> RatMatrix:
 
 
 def module_character(m: Sl2MatrixModule) -> Character:
-    """Character read off the H-eigenvalue multiset, dense from the top weight."""
-    counts = Counter(m.basis_weights)
-    top = max(map(abs, counts))
-    dense = [0] * (2 * top + 1)
-    for w, k in counts.items():
-        dense[top - w] = k
-    return Character._from_dense(tuple(dense))
+    """Character read off the H-eigenvalue multiset, checked like any other."""
+    return Character(LaurentPoly(Counter(m.basis_weights)))
 
 
 def _weight_indices(m: Sl2MatrixModule) -> dict[int, list[int]]:

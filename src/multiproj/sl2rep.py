@@ -22,7 +22,7 @@ posed; it takes one forced exact division per factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, groupby
 from operator import sub
 from typing import Iterator, Sequence
 
@@ -46,10 +46,10 @@ class Character:
     A character is held dense: the 2N + 1 coefficients of q^N, q^(N-1), ...,
     q^-N, whose length gives the top degree N (none for the zero character).
     Building one from a LaurentPoly costs O(N) whatever its number of terms.
-    The products, the peel and the decomposition work on that tuple, and a
-    product the package built itself is not checked again.  ``poly`` is the
-    sparse form, built on each access, for printing and for the sparse
-    product oracle :func:`tensor_character`.
+    The products, the peel and the decomposition work on that tuple, and only
+    this module lays it out: a product built here is not checked again.
+    ``poly`` is the sparse form, built on each access, for printing and for
+    the sparse product oracle :func:`tensor_character`.
     """
 
     __slots__ = ("_coeffs",)
@@ -62,14 +62,11 @@ class Character:
         self._coeffs = _validated(tuple(dense))
 
     @classmethod
-    def _from_dense(cls, coeffs: tuple[int, ...], *, check: bool = True) -> "Character":
-        """The character with dense coefficients q^N..q^-N, N = len // 2.
-
-        ``check=False`` is for a product the package built itself, which is
-        a character by construction.
-        """
+    def _from_dense(cls, coeffs: tuple[int, ...]) -> "Character":
+        """Dense coefficients q^N..q^-N (N = len // 2) of a product built here,
+        a character by construction, so unchecked; elsewhere ``Character(poly)``."""
         c = cls.__new__(cls)
-        c._coeffs = _validated(coeffs) if check else coeffs
+        c._coeffs = coeffs
         return c
 
     @property
@@ -104,13 +101,13 @@ class Character:
         # Product of palindromic nonnegative polynomials is again one.
         a, b = self._coeffs, other._coeffs
         if not a or not b:
-            return Character._from_dense((), check=False)
+            return Character._from_dense(())
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b, start=i):
                     out[j] += x * y
-        return Character._from_dense(tuple(out), check=False)
+        return Character._from_dense(tuple(out))
 
     def __str__(self) -> str:
         return str(self.poly)
@@ -157,13 +154,7 @@ class IrrepMultiset:
 
     def counts(self) -> list[tuple[int, int]]:
         """(label, multiplicity) pairs, labels descending."""
-        out: list[tuple[int, int]] = []
-        for lab in self.labels:
-            if out and out[-1][0] == lab:
-                out[-1] = (lab, out[-1][1] + 1)
-            else:
-                out.append((lab, 1))
-        return out
+        return [(lab, len(list(run))) for lab, run in groupby(self.labels)]
 
     def total(self) -> int:
         return sum(self.labels)
@@ -222,7 +213,7 @@ def tensor_irreps_character(labels: Sequence[int]) -> Character:
         coeffs = list(accumulate(shifted))
     dense = [0] * (2 * len(coeffs) - 1)  # weights of the other parity are 0
     dense[::2] = coeffs
-    return Character._from_dense(tuple(dense), check=False)
+    return Character._from_dense(tuple(dense))
 
 
 def clebsch_gordan_decompose(c: Character) -> IrrepMultiset:

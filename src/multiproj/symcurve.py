@@ -124,7 +124,7 @@ def _check(g: int, n: int, genus_zero: str = "", **more: object) -> None:
 
 def _closed_half(g: int, n: int) -> list[int]:
     """B_0..B_n of Sym^m(C) for all m >= n, genus g >= 1: B_r = B_{r-2} + C(2g, r)."""
-    half = [binom(2 * g, r) if r <= 2 * g else 0 for r in range(n + 1)]
+    half = [binom(2 * g, r) for r in range(n + 1)]
     for r in range(2, n + 1):
         half[r] += half[r - 2]
     return half

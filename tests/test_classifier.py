@@ -21,6 +21,7 @@ from multiproj.classifier import (
 from multiproj.exactalg import LaurentPoly
 from multiproj.sl2rep import (
     Character,
+    IrrepMultiset,
     _peel_q_integers,
     _validated,
     irrep_character,
@@ -187,6 +188,17 @@ class TestClassify:
         assert calls(LaurentPoly.__mul__) == 0
         assert calls(LaurentPoly.__init__) == 0
         assert calls(_validated) == 0  # its own products are not re-checked
+
+    @pytest.mark.parametrize(
+        "peeled", [None, IrrepMultiset((1,))], ids=["failed-peel", "wrong-labels"]
+    )
+    def test_round_trip_guard(self, monkeypatch, peeled):
+        # a peel that fails or misreads its own character is an error, not a verdict
+        monkeypatch.setattr(
+            "multiproj.classifier._peel_q_integers", lambda c: peeled
+        )
+        with pytest.raises(RuntimeError, match="failed to recover its own partition"):
+            classify(parse_partition("2,1"), parse_partition("1,1,1"))
 
 
 def poincare_by_products(p):

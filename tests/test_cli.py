@@ -8,8 +8,10 @@ in-process, so that each limit can be lowered to a cheap value.
 
 import json
 import math
+import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from jsonschema import validate
@@ -233,6 +235,26 @@ class TestTable:
         assert [(row["g"], row["n"]) for row in rows] == [
             (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3),
         ]
+
+
+def _traced_peak(monkeypatch, argv):
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_json_output_is_streamed(monkeypatch):
+    # the document is never held as one string: printing it costs about
+    # what building the rows does, which --quiet measures alone
+    argv = ["table", "--genus", "1..2", "--n", "1..300", "--format", "json"]
+    json_peak = _traced_peak(monkeypatch, argv)
+    quiet_peak = _traced_peak(monkeypatch, [*argv, "--quiet"])
+    assert json_peak <= 1.5 * quiet_peak, (json_peak, quiet_peak)
 
 
 class TestGlobalFlags:

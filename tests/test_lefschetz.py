@@ -18,7 +18,7 @@ from multiproj.lefschetz import (
     BracketReport,
     RatMatrix,
     RelationCheck,
-    _echelon,
+    _reduce_row,
     _weight_indices,
     _x_kernel_dims,
     Sl2MatrixModule,
@@ -142,6 +142,19 @@ def with_x(m, factor):
     """m with X scaled by factor (0 zeroes it); the other operators kept."""
     x = {(i, j): factor * v for i in range(m.dim) for j, v in m.X.row_items(i)}
     return dataclasses.replace(m, X=RatMatrix(m.dim, m.dim, x))
+
+
+def sparse_echelon(rows):
+    """Pivot columns and echelon rows of sparse integer rows, by _reduce_row.
+
+    Each row is reduced on a copy without zeros; the echelon rows have the
+    input's kernel, and the rank is the number of pivots.
+    """
+    by_lead = {}
+    for row in rows:
+        _reduce_row(by_lead, {c: v for c, v in row.items() if v})
+    pivots = sorted(by_lead)
+    return pivots, [by_lead[c] for c in pivots]
 
 
 # The eliminators the package used before sparse primitive-row elimination
@@ -656,7 +669,7 @@ class TestEliminator:
         for _ in range(3000):
             nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
             rows = random_integer_rows(rng, nrows, ncols)
-            pivots, _ = _echelon([dict(enumerate(r)) for r in rows])
+            pivots, _ = sparse_echelon([dict(enumerate(r)) for r in rows])
             rank = _rank(rows, ncols)
             assert len(pivots) == rank == len(dense_echelon(rows, ncols)[0])
             deficient += rank < min(nrows, ncols)
@@ -742,7 +755,7 @@ class TestEliminator:
     def test_input_rows_unchanged(self):
         rows = [{0: 2, 1: 4, 3: 0}, {0: 3, 2: 1}, {0: 6, 1: 12, 3: 0}, {}]
         before = [dict(r) for r in rows]
-        pivots, echelon = _echelon(rows)
+        pivots, echelon = sparse_echelon(rows)
         assert rows == before
         assert pivots == [0, 1]
         assert all(r is not e for r in rows for e in echelon)

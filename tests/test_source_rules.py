@@ -1,8 +1,8 @@
 """Rules on the package source: no cache that grows without bound, no floats,
 no whole-matrix products, one writer of the command line's stdout, no sparse
-characters in the classifier, no series container behind symcurve, no closed
-form inside the series expansion, and no Betti number computed by the command
-line."""
+characters in the classifier, no dense character built outside sl2rep, no
+series container behind symcurve, no closed form inside the series expansion,
+and no Betti number computed by the command line."""
 
 import ast
 from pathlib import Path
@@ -168,14 +168,16 @@ def test_rule_detects_whole_matrix_products(source, flagged):
     assert bool(whole_matrix_products(ast.parse(source))) is flagged
 
 
-STDOUT_NAMES = {("sys", "stdout"), ("json", "dumps"), ("args", "format")}
+STDOUT_NAMES = {
+    ("sys", "stdout"), ("json", "dumps"), ("json", "dump"), ("args", "format")
+}
 
 
-def output_outside_emit(tree):
+def output_outside_emit(tree, names=STDOUT_NAMES):
     """Line numbers of stdout writes and format choices outside ``_emit``.
 
-    Those are ``sys.stdout``, ``json.dumps``, any ``csv.`` name, ``print``
-    and ``args.format``.
+    Those are ``sys.stdout``, ``json.dumps``, ``json.dump``, any ``csv.``
+    name, ``print`` and ``args.format``.
     """
     inside = set()
     for node in ast.walk(tree):
@@ -187,7 +189,7 @@ def output_outside_emit(tree):
             continue
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             pair = (node.value.id, node.attr)
-            if pair in STDOUT_NAMES or node.value.id == "csv":
+            if pair in names or node.value.id == "csv":
                 lines.append(node.lineno)
         elif isinstance(node, ast.Name) and node.id == "print":
             lines.append(node.lineno)
@@ -218,12 +220,66 @@ EMIT = (
         (EMIT + "def f(text):\n    print(text)\n", True),
         (EMIT + "def f(args):\n    return args.format == 'csv'\n", True),
         (EMIT + "def f(text):\n    sys.stderr.write(text)\n", False),
+        (EMIT + "def f(doc, out):\n    json.dump(doc, out)\n", True),
     ],
     ids=["emit-only", "second-stdout-write", "json-dumps", "csv", "print",
-         "format-test", "stderr"],
+         "format-test", "stderr", "json-dump"],
 )
 def test_rule_detects_output_outside_emit(source, flagged):
     assert bool(output_outside_emit(ast.parse(source))) is flagged
+
+
+def test_json_dump_caught_only_by_its_own_pair():
+    tree = ast.parse(EMIT + "def f(doc, out):\n    json.dump(doc, out)\n")
+    assert output_outside_emit(tree, STDOUT_NAMES - {("json", "dump")}) == []
+
+
+DENSE_CHARACTER_NAMES = {"_from_dense", "_coeffs"}
+
+
+def dense_character_internals(tree):
+    """Line numbers that name ``_from_dense`` or ``_coeffs``, however reached.
+
+    ``sl2rep`` owns the dense layout of a ``Character``; any other module
+    builds one through the checking constructor ``Character(poly)``.
+    """
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            name = node.name
+        else:
+            name = getattr(node, "id", getattr(node, "attr", None))
+        if name in DENSE_CHARACTER_NAMES:
+            lines.append(node.lineno)
+    return lines
+
+
+# exactalg's ``_coeffs`` is LaurentPoly's own sparse dict, not a Character's.
+CHARACTER_CLIENTS = [p for p in SOURCES if p.name not in ("sl2rep.py", "exactalg.py")]
+
+
+@pytest.mark.parametrize("path", CHARACTER_CLIENTS, ids=lambda p: p.name)
+def test_only_sl2rep_builds_dense_characters(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert dense_character_internals(tree) == [], f"dense character in {path.name}"
+
+
+@pytest.mark.parametrize(
+    "source,flagged",
+    [
+        ("c = Character._from_dense(tuple(dense))", True),
+        ("half = c._coeffs[: len(c._coeffs) // 2 + 1]", True),
+        ("from .sl2rep import _from_dense", True),
+        ("def f(c):\n    return getattr(c, 'x')._coeffs", True),
+        ("c = Character(LaurentPoly(Counter(weights)))", False),
+        ("c = tensor_irreps_character(parts)", False),
+        ("text = '_from_dense'", False),
+    ],
+    ids=["from-dense", "coeffs", "import", "chained", "checked", "dense-product",
+         "string"],
+)
+def test_rule_detects_dense_character_internals(source, flagged):
+    assert bool(dense_character_internals(ast.parse(source))) is flagged
 
 
 def names_laurent_poly(tree):

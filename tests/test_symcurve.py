@@ -40,6 +40,9 @@ class TestPoincarePolynomial:
             "1 + 2x + 2x^2 + 2x^3 + x^4"
         )
         assert str(PoincarePolynomial(betti=(1, 0, 1, 0, 1), n=2)) == "1 + x^2 + x^4"
+        assert str(poincare_via_series(1, 2)) == "1 + 2x + 2x^2 + 2x^3 + x^4"
+        assert str(poincare_genus_zero(2)) == "1 + x^2 + x^4"
+        assert str(PoincarePolynomial((1, 1, 1), 1)) == "1 + x + x^2"
 
     def test_total(self):
         assert PoincarePolynomial(betti=(1, 2, 2, 2, 1), n=2).total() == 8
