@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactalg import _exact
+from .exactalg import _exact, _require_int
 from .sl2rep import (
     Character,
     IrrepMultiset,
@@ -40,9 +40,7 @@ class Partition:
     def __post_init__(self):
         if not self.parts:
             raise ValueError("a partition needs at least one part")
-        for p in self.parts:
-            if not isinstance(p, int) or isinstance(p, bool):
-                raise TypeError(f"partition parts must be int, got {p!r}")
+        _require_int("partition parts", self.parts)
         if any(p < 1 for p in self.parts):
             raise ValueError(f"all parts must be positive, got {self.parts}")
         object.__setattr__(self, "parts", tuple(sorted(self.parts, reverse=True)))

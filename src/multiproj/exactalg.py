@@ -4,14 +4,15 @@ Everything in this package is computed over Z (or Q for matrices); there is no
 floating point anywhere.  One value type lives here:
 
 * :class:`LaurentPoly` -- a Laurent polynomial in one formal variable ``q``
-  with integer coefficients, stored sparsely as ``{exponent: coefficient}``.
-  Exponents may be negative.  The empty dict is the zero polynomial and zero
-  coefficients are never stored, so equality of dicts is equality of
-  polynomials.
+  with integer coefficients, stored sparsely as ``{exponent: coefficient}``
+  of ints; anything else is refused.  Exponents may be negative.  The empty
+  dict is the zero polynomial and zero coefficients are never stored, so
+  equality of dicts is equality of polynomials.
 
 Its values are immutable after construction and every operation is a pure
 function, so they can be shared freely across threads.  Next to it are
-``binom`` and ``_exact``, the one int/``Fraction`` check of the package.
+``binom`` and the package's checks of exact numbers: ``_require_int``, the one
+int check, and ``_exact``, the one int/``Fraction`` check.
 """
 
 from __future__ import annotations
@@ -19,12 +20,33 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterator, Mapping
+from itertools import repeat
+from typing import Collection, Iterable, Iterator, Mapping
+
+
+def _is_int(v: object) -> bool:
+    """Whether v is an exact int: an ``int``, and not a ``bool``."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _require_int(what: str | Iterable[str], values: Collection[object]) -> None:
+    """Refuse the first of ``values`` that is not an int; a bool is not taken for one.
+
+    It raises ``TypeError("{what} must be int, got {v!r}")``.  ``what`` names
+    every value, or is an iterable of names, one per value, read only when a
+    value is refused.  Values that are all exactly ``int`` pass after one look
+    at their types.
+    """
+    if set(map(type, values)) <= {int}:
+        return
+    for name, v in zip(repeat(what) if isinstance(what, str) else what, values):
+        if not _is_int(v):
+            raise TypeError(f"{name} must be int, got {v!r}")
 
 
 def _exact(v: object) -> int | Fraction:
     """v as an int when integral, else a Fraction; other types, bool too, are refused."""
-    if isinstance(v, int) and not isinstance(v, bool):
+    if _is_int(v):
         return v
     if isinstance(v, Fraction):
         return v.numerator if v.denominator == 1 else v
@@ -45,17 +67,18 @@ def binom(n: int, k: int) -> int:
 
 
 class LaurentPoly:
-    """Integer Laurent polynomial in ``q``, canonical sparse form."""
+    """Integer Laurent polynomial in ``q``, canonical sparse form.
+
+    A non-int exponent or coefficient, a bool or 1.0 too, is a TypeError.
+    """
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
-        canonical = {}
-        if coeffs:
-            for exp, c in coeffs.items():
-                if c != 0:
-                    canonical[int(exp)] = c
-        self._coeffs = canonical
+        coeffs = coeffs or {}
+        _require_int("exponents", coeffs.keys())
+        _require_int("coefficients", coeffs.values())
+        self._coeffs = {exp: c for exp, c in coeffs.items() if c}
 
     @classmethod
     def zero(cls) -> "LaurentPoly":

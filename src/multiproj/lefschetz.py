@@ -30,9 +30,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
-from .exactalg import LaurentPoly, _exact
+from .exactalg import LaurentPoly, _exact, _require_int
 from .sl2rep import Character
 
 
@@ -40,10 +41,11 @@ class RatMatrix:
     """Sparse exact matrix storage, immutable by convention.
 
     An integral entry is stored as an int (a Fraction with denominator 1 as
-    its numerator); only a non-integral value stays a Fraction.  Floats and
-    strings are refused.  Apart from ``apply`` there is no arithmetic: the
-    whole-matrix sums, products and Kronecker products live in the tests, as
-    the oracle of the row-by-row ``verify_brackets`` and ``tensor_modules``.
+    its numerator); only a non-integral value stays a Fraction.  Floats,
+    bools and strings are refused as entries, dimensions or indices.  Apart
+    from ``apply`` there is no arithmetic: the whole-matrix sums, products
+    and Kronecker products live in the tests, as the oracle of the
+    row-by-row ``verify_brackets`` and ``tensor_modules``.
     """
 
     __slots__ = ("nrows", "ncols", "_rows")
@@ -54,10 +56,12 @@ class RatMatrix:
         ncols: int,
         entries: Mapping[tuple[int, int], int | Fraction] | None = None,
     ):
+        _require_int(("nrows", "ncols"), (nrows, ncols))
         if nrows < 0 or ncols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         rows: list[dict[int, int | Fraction]] = [{} for _ in range(nrows)]
         if entries:
+            _require_int("matrix indices", tuple(chain.from_iterable(entries)))
             for (i, j), v in entries.items():
                 if not (0 <= i < nrows and 0 <= j < ncols):
                     raise ValueError(f"entry ({i}, {j}) outside {nrows}x{ncols}")
@@ -165,9 +169,7 @@ class Sl2MatrixModule:
         d = len(w)
         if not d:
             raise ValueError("a module needs at least one basis weight")
-        for v in w:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise TypeError(f"basis weights must be int, got {v!r}")
+        _require_int("basis weights", w)
         for name, op, shift in (("X", self.X, 2), ("Y", self.Y, -2)):
             if op.nrows != d or op.ncols != d:
                 raise ValueError(
@@ -198,6 +200,7 @@ def build_cohomology_module(n: int) -> Sl2MatrixModule:
     H e_p = (n - 2p) e_p, Y e_p = e_{p+1} (cup with the Kaehler class),
     X e_p = p(n - p + 1) e_{p-1}.
     """
+    _require_int("projective space dimension", (n,))
     if n < 0:
         raise ValueError(f"projective space dimension must be nonnegative, got {n}")
     weights = tuple(n - 2 * p for p in range(n + 1))

@@ -26,7 +26,7 @@ from itertools import accumulate, groupby
 from operator import sub
 from typing import Iterator, Sequence
 
-from .exactalg import LaurentPoly
+from .exactalg import LaurentPoly, _require_int
 
 
 class FactorizationError(ValueError):
@@ -145,9 +145,8 @@ class IrrepMultiset:
     labels: tuple[int, ...]
 
     def __post_init__(self):
+        _require_int("irreducible labels", self.labels)
         for lab in self.labels:
-            if not isinstance(lab, int) or isinstance(lab, bool):
-                raise TypeError(f"irreducible labels must be int, got {lab!r}")
             if lab < 0:
                 raise ValueError(f"irreducible labels are nonnegative, got {lab}")
         object.__setattr__(self, "labels", tuple(sorted(self.labels, reverse=True)))
@@ -178,6 +177,7 @@ class IrrepMultiset:
 
 def irrep_character(n: int) -> Character:
     """Character q^n + q^(n-2) + ... + q^(-n) of the irreducible with label n."""
+    _require_int("irreducible labels", (n,))
     if n < 0:
         raise ValueError(f"irreducible labels are nonnegative, got {n}")
     return Character(LaurentPoly({k: 1 for k in range(-n, n + 1, 2)}))
@@ -205,6 +205,8 @@ def tensor_irreps_character(labels: Sequence[int]) -> Character:
     1 - x^(n+1) and divides them by 1 - x (prefix sums).  No labels give the
     trivial character 1.
     """
+    labels = tuple(labels)  # checked, then read: an iterator is read once
+    _require_int("irreducible labels", labels)
     coeffs = [1]
     for lab in labels:
         if lab < 0:
@@ -245,6 +247,7 @@ def partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]
     trailing 1s plus the one it lost are refilled greedily with parts no
     larger than it.
     """
+    _require_int(("n", "max_part"), (n,) if max_part is None else (n, max_part))
     if n < 0:
         raise ValueError(f"cannot partition a negative integer: {n}")
     if max_part is None or max_part > n:

@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import chain, count
 from operator import add
 
-from .exactalg import binom
+from .exactalg import _require_int, binom
 
 
 @dataclass(frozen=True)
@@ -44,8 +45,8 @@ class PoincarePolynomial:
 
     def __post_init__(self):
         object.__setattr__(self, "betti", tuple(self.betti))
-        if {type(self.n), *map(type, self.betti)} != {int}:  # a bool fails this too
-            _require_int(n=self.n, **{f"B_{r}": b for r, b in enumerate(self.betti)})
+        names = chain(["n"], (f"B_{r}" for r in count()))
+        _require_int(names, (self.n, *self.betti))
         if self.n < 0:
             raise ValueError("half-dimension n must be nonnegative")
         if len(self.betti) != 2 * self.n + 1:
@@ -100,26 +101,24 @@ class DimensionComparison:
     relation: DimRelation
 
 
-def _require_int(**values: object) -> None:
-    """Refuse a value that is not an int; a bool is not taken for one."""
-    for name, v in values.items():
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise TypeError(f"{name} must be int, got {v!r}")
-
-
 def _check_genus(g: int) -> None:
     if g < 0:
         raise ValueError(f"genus must be nonnegative, got {g}")
 
 
-def _check(g: int, n: int, genus_zero: str = "", **more: object) -> None:
-    """Refuse non-ints, g < 0, g = 0 when ``genus_zero`` says why, then n < 1."""
-    _require_int(g=g, n=n, **more)
+def _check_values(g: int, n: int, genus_zero: str = "") -> None:
+    """Refuse g < 0, g = 0 when ``genus_zero`` says why, then n < 1."""
     _check_genus(g)
     if g == 0 and genus_zero:
         raise ValueError(genus_zero)
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
+
+
+def _check(g: int, n: int, genus_zero: str = "", **more: object) -> None:
+    """Refuse non-ints, then what ``_check_values`` refuses."""
+    _require_int(("g", "n", *more), (g, n, *more.values()))
+    _check_values(g, n, genus_zero)
 
 
 def _closed_half(g: int, n: int) -> list[int]:
@@ -171,7 +170,7 @@ def _poincare_rows(g: int, ns: range) -> list[PoincarePolynomial]:
     form and sum to ``total_dim_cohomology``, or a RuntimeError says so.
     """
     if g == 0:
-        return [poincare_genus_zero(n) for n in ns]
+        return [_genus_zero(n) for n in ns]
     rows, half = _series_rows(g, max(ns)), _closed_half(g, max(ns))
     for n in ns:
         if rows[n] != half[: n + 1] + half[n - 1 :: -1]:
@@ -192,9 +191,8 @@ def poincare_via_series(g: int, n: int) -> PoincarePolynomial:
     return _poincare_rows(g, range(n, n + 1))[0]
 
 
-def poincare_genus_zero(n: int) -> PoincarePolynomial:
-    """Poincare polynomial of Sym^n(P^1) = P^n: one class in each even degree."""
-    _require_int(n=n)
+def _genus_zero(n: int) -> PoincarePolynomial:
+    """``poincare_genus_zero`` for an int n."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     return PoincarePolynomial(
@@ -202,12 +200,19 @@ def poincare_genus_zero(n: int) -> PoincarePolynomial:
     )
 
 
+def poincare_genus_zero(n: int) -> PoincarePolynomial:
+    """Poincare polynomial of Sym^n(P^1) = P^n: one class in each even degree."""
+    _require_int("n", (n,))
+    return _genus_zero(n)
+
+
 def poincare_polynomial(g: int, n: int) -> PoincarePolynomial:
     """Route to the right formula by genus (series for g >= 1, P^n rule at 0)."""
-    # each route checks its arguments; a 0 that is not an int (False) is refused
-    if g == 0 and isinstance(g, int) and g is not False:
-        return poincare_genus_zero(n)
-    return poincare_via_series(g, n)
+    _require_int(("g", "n"), (g, n))
+    if g == 0:
+        return _genus_zero(n)
+    _check_values(g, n)
+    return _poincare_rows(g, range(n, n + 1))[0]
 
 
 def _total_dim(g: int, n: int) -> int:
@@ -253,7 +258,7 @@ def genus_obstruction_report(g: int, n: int) -> DimensionComparison:
     is strictly smaller, which is exactly why that method has no higher-genus
     analogue.  The relation is computed by comparison, not asserted.
     """
-    _require_int(g=g, n=n)
+    _require_int(("g", "n"), (g, n))
     _check_genus(g)
     if n < 2:
         raise ValueError(

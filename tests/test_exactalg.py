@@ -2,6 +2,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from multiproj.exactalg import LaurentPoly, binom
+from multiproj.lefschetz import RatMatrix, build_cohomology_module
+from multiproj.sl2rep import (
+    Character,
+    factor_tensor_of_irreps,
+    irrep_character,
+    partitions,
+    tensor_irreps_character,
+)
 
 
 def L(text):
@@ -80,6 +88,31 @@ class TestLaurentPoly:
         with pytest.raises(ValueError):
             L(text)
 
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: LaurentPoly({1.5: 1}), "exponents must be int, got 1.5"),
+            (lambda: LaurentPoly({"3": 1}), "exponents must be int, got '3'"),
+            (lambda: LaurentPoly({True: 1}), "exponents must be int, got True"),
+            (lambda: LaurentPoly.term(1, 2.7), "exponents must be int, got 2.7"),
+            (lambda: LaurentPoly({0: 1.0}), "coefficients must be int, got 1.0"),
+            (lambda: LaurentPoly.term(True, 0), "coefficients must be int, got True"),
+            (lambda: Character(LaurentPoly({2: 1.0, 0: 1.0, -2: 1.0})),
+             "coefficients must be int, got 1.0"),
+            (lambda: factor_tensor_of_irreps(
+                Character(LaurentPoly({2: 1.0, 0: 2.0, -2: 1.0}))),
+             "coefficients must be int, got 1.0"),
+        ],
+        ids=["float-exp", "str-exp", "bool-exp", "term-exp", "float-coeff",
+             "term-coeff", "character", "factor"],
+    )
+    def test_refuses_non_int(self, build, message):
+        # each key or value equals an int, or int() would take it, so unchecked
+        # it would pass as one: 1.5 rounds to q, 1.0 prints as 1.0
+        with pytest.raises(TypeError) as info:
+            build()
+        assert str(info.value) == message
+
     def test_str_forms(self):
         assert str(L("q")) == "q"
         assert str(L("2*q^-1")) == "2*q^-1"
@@ -108,3 +141,31 @@ def test_ring_axioms(a, b, c):
 @given(polys)
 def test_str_parse_round_trip(p):
     assert LaurentPoly.parse(str(p)) == p
+
+
+@pytest.mark.parametrize("bad", [True, 2.0], ids=["bool", "float"])
+@pytest.mark.parametrize(
+    "call,what",
+    [
+        (irrep_character, "irreducible labels"),
+        (lambda v: tensor_irreps_character([v]), "irreducible labels"),
+        (lambda v: tensor_irreps_character([3, v]), "irreducible labels"),
+        (lambda v: next(partitions(v)), "n"),
+        (lambda v: next(partitions(4, v)), "max_part"),
+        (build_cohomology_module, "projective space dimension"),
+        (lambda v: RatMatrix(v, 2), "nrows"),
+        (lambda v: RatMatrix(2, v), "ncols"),
+        (lambda v: RatMatrix(2, 2, {(v, 0): 1}), "matrix indices"),
+    ],
+    ids=["irrep", "tensor", "tensor-second", "partitions", "max-part", "module",
+         "nrows", "ncols", "index"],
+)
+def test_int_arguments_refuse_bool_and_float(call, what, bad):
+    # True == 1 and 2.0 == 2, so unchecked each would pass as an int
+    with pytest.raises(TypeError) as info:
+        call(bad)
+    assert str(info.value) == f"{what} must be int, got {bad!r}"
+
+
+def test_checked_labels_may_come_from_an_iterator():
+    assert tensor_irreps_character(iter([2, 1])) == tensor_irreps_character([2, 1])

@@ -2,7 +2,7 @@
 no whole-matrix products, one writer of the command line's stdout, no sparse
 characters in the classifier, no dense character built outside sl2rep, no
 series container behind symcurve, no closed form inside the series expansion,
-and no Betti number computed by the command line."""
+no Betti number computed by the command line, and one owner of the int check."""
 
 import ast
 from pathlib import Path
@@ -324,17 +324,23 @@ def test_rule_detects_laurent_poly(source, flagged):
     assert bool(names_laurent_poly(ast.parse(source))) is flagged
 
 
+SYMCURVE_EXACTALG_NAMES = {"binom", "_require_int"}
+
+
 def exactalg_beyond_binom(tree):
-    """Line numbers that reach ``exactalg`` for anything but ``binom``.
+    """Line numbers that reach ``exactalg`` for anything but ``binom`` and the
+    int check ``_require_int``.
 
     ``symcurve`` expands its series in place on a table of ints; a series
-    type from ``exactalg`` would bring the general ring back.
+    type from ``exactalg`` would bring the general ring back.  A type check
+    is not one.
     """
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             if (node.module or "").rpartition(".")[2] == "exactalg":
-                lines += [node.lineno for a in node.names if a.name != "binom"]
+                lines += [node.lineno for a in node.names
+                          if a.name not in SYMCURVE_EXACTALG_NAMES]
             else:
                 lines += [node.lineno for a in node.names if a.name == "exactalg"]
         elif isinstance(node, ast.Import):
@@ -356,6 +362,7 @@ def test_symcurve_takes_only_binom_from_exactalg():
         ("from multiproj.exactalg import binom as choose", False),
         ("from .sl2rep import Character", False),
         ("from operator import add", False),
+        ("from .exactalg import _require_int, binom", False),
         ("from .exactalg import binom, LaurentPoly", True),
         ("from .exactalg import TruncatedBiseries", True),
         ("from multiproj.exactalg import geometric_sum", True),
@@ -363,8 +370,9 @@ def test_symcurve_takes_only_binom_from_exactalg():
         ("from . import exactalg", True),
         ("import multiproj.exactalg", True),
     ],
-    ids=["binom", "binom-as", "other-module", "stdlib", "binom-and-more",
-         "series-type", "absolute", "star", "module", "import-module"],
+    ids=["binom", "binom-as", "other-module", "stdlib", "int-check",
+         "binom-and-more", "series-type", "absolute", "star", "module",
+         "import-module"],
 )
 def test_rule_detects_exactalg_beyond_binom(source, flagged):
     assert bool(exactalg_beyond_binom(ast.parse(source))) is flagged
@@ -471,3 +479,68 @@ def test_cli_takes_only_checked_rows_from_symcurve():
 )
 def test_rule_detects_symcurve_beyond_rows(source, flagged):
     assert bool(symcurve_beyond_rows(ast.parse(source))) is flagged
+
+
+INT_TYPES = {"int", "bool"}
+
+
+def names_int_type(node):
+    """Whether ``node`` is the name ``int`` or ``bool``, or a display holding one."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(names_int_type(e) for e in node.elts)
+    return isinstance(node, ast.Name) and node.id in INT_TYPES
+
+
+def int_checks(tree):
+    """Line numbers of ``isinstance``/``issubclass`` against ``int`` or ``bool``,
+    and of comparisons with ``int``, ``bool`` or a set of types holding one.
+
+    ``exactalg`` decides what an exact int is, in ``_require_int`` and
+    ``_exact``; a second spelling of that rule elsewhere could drift from it.
+    """
+    lines = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("isinstance", "issubclass")
+            and any(names_int_type(arg) for arg in node.args[1:])
+        ):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Compare) and any(
+            names_int_type(side) for side in (node.left, *node.comparators)
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+INT_CHECK_CLIENTS = [p for p in SOURCES if p.name != "exactalg.py"]
+
+
+@pytest.mark.parametrize("path", INT_CHECK_CLIENTS, ids=lambda p: p.name)
+def test_only_exactalg_checks_ints(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert int_checks(tree) == [], f"int check in {path.name}"
+
+
+@pytest.mark.parametrize(
+    "source,flagged",
+    [
+        ("if not isinstance(v, int) or isinstance(v, bool):\n    pass", True),
+        ("ok = isinstance(v, bool)", True),
+        ("ok = isinstance(v, (Fraction, int))", True),
+        ("ok = {type(n), *map(type, betti)} != {int}", True),
+        ("ok = type(v) is int", True),
+        ("ok = g == 0 and isinstance(g, int) and g is not False", True),
+        ("ok = issubclass(type(v), int)", True),
+        ("_require_int(('g', 'n'), (g, n))", False),
+        ("ok = isinstance(other, ProjPoint)", False),
+        ("value = int(token, 10)", False),
+        ("ok = Fraction in map(type, row.values())", False),
+        ("ok = n == 0", False),
+    ],
+    ids=["loop", "bool", "type-tuple", "type-set", "type-is", "route", "subclass",
+         "helper", "other-class", "int-call", "fraction-screen", "value"],
+)
+def test_rule_detects_int_checks(source, flagged):
+    assert bool(int_checks(ast.parse(source))) is flagged

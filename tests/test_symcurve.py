@@ -348,9 +348,10 @@ def test_refuses_non_int_arguments(fn, params, bad):
 def test_checks_arguments_once(monkeypatch, fn, args):
     calls, require_int = [], symcurve._require_int
 
-    def counted(**values):
-        calls.append(values)
-        require_int(**values)
+    def counted(what, values):
+        if tuple(values) == args:  # the arguments, not the Betti row of a result
+            calls.append(what)
+        require_int(what, values)
 
     monkeypatch.setattr(symcurve, "_require_int", counted)
     fn(*args)
