@@ -38,12 +38,13 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.parts:
+        parts = tuple(self.parts)  # checked, then read: an iterator is read once
+        if not parts:
             raise ValueError("a partition needs at least one part")
-        _require_int("partition parts", self.parts)
-        if any(p < 1 for p in self.parts):
-            raise ValueError(f"all parts must be positive, got {self.parts}")
-        object.__setattr__(self, "parts", tuple(sorted(self.parts, reverse=True)))
+        _require_int("partition parts", parts)
+        if any(p < 1 for p in parts):
+            raise ValueError(f"all parts must be positive, got {parts}")
+        object.__setattr__(self, "parts", tuple(sorted(parts, reverse=True)))
 
     @property
     def n(self) -> int:

@@ -80,22 +80,6 @@ class LaurentPoly:
         _require_int("coefficients", coeffs.values())
         self._coeffs = {exp: c for exp, c in coeffs.items() if c}
 
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
-
-    @classmethod
-    def term(cls, coeff: int, exp: int) -> "LaurentPoly":
-        """The monomial ``coeff * q^exp``."""
-        return cls({exp: coeff})
-
-    def coefficient(self, exp: int) -> int:
-        return self._coeffs.get(exp, 0)
-
     def terms(self) -> Iterator[tuple[int, int]]:
         """(exponent, coefficient) pairs, descending by exponent."""
         for exp in sorted(self._coeffs, reverse=True):
@@ -115,10 +99,6 @@ class LaurentPoly:
             raise ValueError("the zero polynomial has no valuation")
         return min(self._coeffs)
 
-    def evaluate_at_one(self) -> int:
-        """Sum of all coefficients, i.e. the value at q = 1."""
-        return sum(self._coeffs.values())
-
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 
@@ -130,17 +110,11 @@ class LaurentPoly:
     def __hash__(self) -> int:
         return hash(frozenset(self._coeffs.items()))
 
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self._coeffs.items()})
-
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self._coeffs)
         for e, c in other._coeffs.items():
             out[e] = out.get(e, 0) + c
         return LaurentPoly(out)
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + -other
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         out: dict[int, int] = {}

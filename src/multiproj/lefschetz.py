@@ -25,7 +25,6 @@ time, so no whole-matrix product is ever formed.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -43,7 +42,7 @@ class RatMatrix:
     An integral entry is stored as an int (a Fraction with denominator 1 as
     its numerator); only a non-integral value stays a Fraction.  Floats,
     bools and strings are refused as entries, dimensions or indices.  Apart
-    from ``apply`` there is no arithmetic: the whole-matrix sums, products
+    from ``_apply`` there is no arithmetic: the whole-matrix sums, products
     and Kronecker products live in the tests, as the oracle of the
     row-by-row ``verify_brackets`` and ``tensor_modules``.
     """
@@ -84,14 +83,8 @@ class RatMatrix:
         n = len(values)
         return cls(n, n, {(i, i): v for i, v in enumerate(values)})
 
-    def entry(self, i: int, j: int) -> int | Fraction:
-        return self._rows[i].get(j, 0)
-
     def row_items(self, i: int) -> list[tuple[int, int | Fraction]]:
         return sorted(self._rows[i].items())
-
-    def is_zero(self) -> bool:
-        return all(not row for row in self._rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatMatrix):
@@ -101,10 +94,6 @@ class RatMatrix:
             and self.ncols == other.ncols
             and self._rows == other._rows
         )
-
-    def apply(self, vec: Mapping[int, int | Fraction]) -> dict[int, int | Fraction]:
-        """Sparse matrix-vector product (vec maps index -> coefficient)."""
-        return self._apply(range(self.nrows), vec)
 
     def _apply(self, rows: Iterable[int], vec: Mapping) -> dict:
         """The nonzero entries of self @ vec at the given row indices."""
@@ -233,9 +222,6 @@ class BracketReport:
     @property
     def all_pass(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def to_json(self) -> str:
-        return json.dumps([c.to_json_dict() for c in self.checks])
 
 
 def verify_brackets(m: Sl2MatrixModule) -> BracketReport:

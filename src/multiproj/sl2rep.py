@@ -46,10 +46,11 @@ class Character:
     A character is held dense: the 2N + 1 coefficients of q^N, q^(N-1), ...,
     q^-N, whose length gives the top degree N (none for the zero character).
     Building one from a LaurentPoly costs O(N) whatever its number of terms.
-    The products, the peel and the decomposition work on that tuple, and only
-    this module lays it out: a product built here is not checked again.
-    ``poly`` is the sparse form, built on each access, for printing and for
-    the sparse product oracle :func:`tensor_character`.
+    The product of irreducibles, the peel and the decomposition work on that
+    tuple, and only this module lays it out: a product built here is not
+    checked again.  ``poly`` is the sparse form, built on each access, for
+    printing and for :func:`tensor_character`, which multiplies arbitrary
+    characters.
     """
 
     __slots__ = ("_coeffs",)
@@ -97,18 +98,6 @@ class Character:
     def __hash__(self) -> int:
         return hash(self._coeffs)
 
-    def __mul__(self, other: "Character") -> "Character":
-        # Product of palindromic nonnegative polynomials is again one.
-        a, b = self._coeffs, other._coeffs
-        if not a or not b:
-            return Character._from_dense(())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, start=i):
-                    out[j] += x * y
-        return Character._from_dense(tuple(out))
-
     def __str__(self) -> str:
         return str(self.poly)
 
@@ -145,18 +134,16 @@ class IrrepMultiset:
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        _require_int("irreducible labels", self.labels)
-        for lab in self.labels:
+        labels = tuple(self.labels)  # checked, then read: an iterator is read once
+        _require_int("irreducible labels", labels)
+        for lab in labels:
             if lab < 0:
                 raise ValueError(f"irreducible labels are nonnegative, got {lab}")
-        object.__setattr__(self, "labels", tuple(sorted(self.labels, reverse=True)))
+        object.__setattr__(self, "labels", tuple(sorted(labels, reverse=True)))
 
     def counts(self) -> list[tuple[int, int]]:
         """(label, multiplicity) pairs, labels descending."""
         return [(lab, len(list(run))) for lab, run in groupby(self.labels)]
-
-    def total(self) -> int:
-        return sum(self.labels)
 
     def __str__(self) -> str:
         """Canonical text form: descending labels, ``^mult`` for repeats.

@@ -5,9 +5,15 @@ checks, through the module's public attributes (``X``, ``Y``, ``H``, ``dim``
 and ``RatMatrix.row_items``).  A traced run would break, or count the wrong
 work, if those attributes changed; this test loads the tracer by path and
 checks its reading against one computed here from the matrix entries.
+Last, each benchmark workload runs for two traced seconds against this
+library, so a change that breaks a request, an oracle or a tracer read
+fails here too.
 """
 
 import importlib.util
+import json
+import subprocess
+import sys
 from collections import Counter
 from functools import reduce
 from pathlib import Path
@@ -16,7 +22,8 @@ import pytest
 
 from multiproj.lefschetz import build_cohomology_module, tensor_modules
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +35,8 @@ def tracer():
 
 
 def nonzeros(a):
-    return sum(1 for i in range(a.nrows) for j in range(a.ncols) if a.entry(i, j))
+    """Nonzero entries, found by reading every (i, j) of the stored rows."""
+    return sum(1 for i in range(a.nrows) for j in range(a.ncols) if a._rows[i].get(j))
 
 
 @pytest.mark.parametrize("parts", [(0,), (1,), (5,), (1, 1), (2, 1), (3, 2, 2)])
@@ -44,3 +52,17 @@ def test_module_size_of_p1_squared(tracer):
     # X and Y have 2 + 2 nonzeros each, weights (2, 0, 0, -2) two nonzero ones
     m = tensor_modules(build_cohomology_module(1), build_cohomology_module(1))
     assert tracer._module_size((m,), None) == (10, 2)
+
+
+@pytest.mark.parametrize("workload", ["compute", "cli"])
+def test_benchmark_runs_correct_against_this_library(workload):
+    # a traced run draws every request kind, the tracer's reads and the
+    # oracles: a library change the benchmark cannot run on fails here
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
+         "--seconds", "2", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0

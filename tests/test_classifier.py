@@ -81,6 +81,12 @@ class TestPartitionType:
         with pytest.raises(TypeError, match=r"^partition parts must be int, got True$"):
             Partition((True, 2))
 
+    def test_parts_may_come_from_an_iterator(self):
+        # the parts are checked, then stored: an iterator is read once
+        assert Partition(p for p in (1, 3, 2)) == Partition((1, 3, 2))
+        with pytest.raises(ValueError, match="^a partition needs at least one part$"):
+            Partition(p for p in ())
+
 
 class TestCohomologyCharacter:
     @pytest.mark.parametrize(
@@ -203,12 +209,12 @@ class TestClassify:
 
 def poincare_by_products(p):
     """The product of q-integers in x^2 that poincare_of_multiprojective replaced."""
-    poly = LaurentPoly.one()
+    poly = LaurentPoly({0: 1})
     for part in p.parts:
         poly = poly * LaurentPoly({2 * k: 1 for k in range(part + 1)})
-    n = p.n
+    n, terms = p.n, dict(poly.terms())
     return PoincarePolynomial(
-        betti=tuple(poly.coefficient(d) for d in range(2 * n + 1)), n=n
+        betti=tuple(terms.get(d, 0) for d in range(2 * n + 1)), n=n
     )
 
 

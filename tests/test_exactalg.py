@@ -39,19 +39,19 @@ class TestBinom:
 
 class TestLaurentPoly:
     def test_mul_examples(self):
-        q = LaurentPoly.term(1, 1)
-        qi = LaurentPoly.term(1, -1)
+        q = LaurentPoly({1: 1})
+        qi = LaurentPoly({-1: 1})
         assert (q + qi) * (q + qi) == L("q^2 + 2 + q^-2")
-        assert (q - qi) * (q + qi) == L("q^2 - q^-2")
+        assert LaurentPoly({1: 1, -1: -1}) * (q + qi) == L("q^2 - q^-2")
 
     def test_mul_identity(self):
         p = L("q^3 + 2*q + 2*q^-1 + q^-3")
-        assert p * LaurentPoly.one() == p
+        assert p * LaurentPoly({0: 1}) == p
 
     def test_zero_is_falsy_and_prints_0(self):
-        z = LaurentPoly({2: 1}) - LaurentPoly({2: 1})
+        z = LaurentPoly({2: 1}) + LaurentPoly({2: -1})
         assert not z
-        assert z == LaurentPoly.zero()
+        assert z == LaurentPoly()
         assert str(z) == "0"
 
     def test_canonical_no_zero_coeffs(self):
@@ -63,10 +63,7 @@ class TestLaurentPoly:
         assert p.degree == 3
         assert p.valuation == -3
         with pytest.raises(ValueError):
-            LaurentPoly.zero().degree
-
-    def test_evaluate_at_one(self):
-        assert L("q^3 + 2*q + 2*q^-1 + q^-3").evaluate_at_one() == 6
+            LaurentPoly().degree
 
     @pytest.mark.parametrize(
         "text",
@@ -94,9 +91,9 @@ class TestLaurentPoly:
             (lambda: LaurentPoly({1.5: 1}), "exponents must be int, got 1.5"),
             (lambda: LaurentPoly({"3": 1}), "exponents must be int, got '3'"),
             (lambda: LaurentPoly({True: 1}), "exponents must be int, got True"),
-            (lambda: LaurentPoly.term(1, 2.7), "exponents must be int, got 2.7"),
+            (lambda: LaurentPoly({2.7: 1}), "exponents must be int, got 2.7"),
             (lambda: LaurentPoly({0: 1.0}), "coefficients must be int, got 1.0"),
-            (lambda: LaurentPoly.term(True, 0), "coefficients must be int, got True"),
+            (lambda: LaurentPoly({0: True}), "coefficients must be int, got True"),
             (lambda: Character(LaurentPoly({2: 1.0, 0: 1.0, -2: 1.0})),
              "coefficients must be int, got 1.0"),
             (lambda: factor_tensor_of_irreps(
@@ -135,7 +132,7 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert (a + b) + c == a + (b + c)
     assert a + b == b + a
-    assert a - a == LaurentPoly.zero()
+    assert a + LaurentPoly({e: -c for e, c in a.terms()}) == LaurentPoly()
 
 
 @given(polys)

@@ -55,6 +55,19 @@ def _rows(a):
     return [dict(a.row_items(i)) for i in range(a.nrows)]
 
 
+def entry(a, i, j):
+    return a._rows[i].get(j, 0)
+
+
+def is_zero(a):
+    return not any(a._rows)
+
+
+def apply(a, vec):
+    """Sparse matrix-vector product (vec maps index -> coefficient)."""
+    return a._apply(range(a.nrows), vec)
+
+
 def identity(n):
     return RatMatrix(n, n, {(i, i): 1 for i in range(n)})
 
@@ -200,7 +213,7 @@ def dense_kernel_dims(m):
     for w, cols in spaces.items():
         block = []
         for r in spaces.get(w + 2, ()):
-            row = [Fraction(m.X.entry(r, c)) for c in cols]
+            row = [Fraction(entry(m.X, r, c)) for c in cols]
             scale = math.lcm(*(v.denominator for v in row))
             block.append([int(v * scale) for v in row])
         dims[w] = len(cols) - len(dense_echelon(block, len(cols))[0])
@@ -215,7 +228,7 @@ def dense_is_irreducible(m):
         return False
     vec, count = {m.basis_weights.index(top): 1}, 0
     while vec:
-        vec, count = m.Y.apply(vec), count + 1
+        vec, count = apply(m.Y, vec), count + 1
     return count == m.dim
 
 
@@ -295,17 +308,17 @@ class TestRatMatrix:
         # (i, j) of the factors -> i * other_dim + j, row-major
         a = RatMatrix(2, 2, {(0, 1): 1})
         k = kron(a, identity(2))
-        assert k.entry(0, 2) == 1 and k.entry(1, 3) == 1
+        assert entry(k, 0, 2) == 1 and entry(k, 1, 3) == 1
         assert max_abs_entry(k) == 1
 
     def test_add_cancels(self):
         a = RatMatrix(1, 1, {(0, 0): Fraction(1, 3)})
-        assert sub(a, a).is_zero()
+        assert is_zero(sub(a, a))
         assert max_abs_entry(sub(a, a)) == 0
 
     def test_apply(self):
         a = RatMatrix(2, 2, {(0, 1): 2, (1, 0): 3})
-        assert a.apply({1: Fraction(5)}) == {0: Fraction(10)}
+        assert apply(a, {1: Fraction(5)}) == {0: Fraction(10)}
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -315,9 +328,9 @@ class TestRatMatrix:
 
     def test_integral_entries_are_ints(self):
         a = RatMatrix(1, 2, {(0, 0): Fraction(4, 2), (0, 1): Fraction(1, 2)})
-        assert type(a.entry(0, 0)) is int and a.entry(0, 0) == 2
-        assert a.entry(0, 1) == Fraction(1, 2)
-        assert type(RatMatrix(1, 1).entry(0, 0)) is int
+        assert type(entry(a, 0, 0)) is int and entry(a, 0, 0) == 2
+        assert entry(a, 0, 1) == Fraction(1, 2)
+        assert RatMatrix(1, 1, {(0, 0): Fraction(0)})._rows == [{}]  # no zero stored
         assert scale(a, Fraction(6, 3)).row_items(0) == [(0, 4), (1, 1)]
         assert RatMatrix(1, 1, {(0, 0): 1}) == RatMatrix(1, 1, {(0, 0): Fraction(1)})
 
@@ -344,20 +357,20 @@ class TestBuildModule:
     def test_n0_is_zero_module(self):
         m = build_cohomology_module(0)
         assert m.dim == 1
-        assert m.X.is_zero() and m.Y.is_zero() and m.H.is_zero()
+        assert is_zero(m.X) and is_zero(m.Y) and is_zero(m.H)
 
     def test_n1(self):
         m = build_cohomology_module(1)
         assert m.basis_weights == (1, -1)
-        assert m.H.entry(0, 0) == 1 and m.H.entry(1, 1) == -1
-        assert m.Y.entry(1, 0) == 1
-        assert m.X.entry(0, 1) == 1  # mu_1 = 1*(1-1+1)
+        assert entry(m.H, 0, 0) == 1 and entry(m.H, 1, 1) == -1
+        assert entry(m.Y, 1, 0) == 1
+        assert entry(m.X, 0, 1) == 1  # mu_1 = 1*(1-1+1)
 
     def test_n2(self):
         m = build_cohomology_module(2)
         assert m.basis_weights == (2, 0, -2)
-        assert m.X.entry(0, 1) == 2  # mu_1 = 1*(2-1+1)
-        assert m.X.entry(1, 2) == 2  # mu_2 = 2*(2-2+1)
+        assert entry(m.X, 0, 1) == 2  # mu_1 = 1*(2-1+1)
+        assert entry(m.X, 1, 2) == 2  # mu_2 = 2*(2-2+1)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -440,16 +453,6 @@ class TestBrackets:
         assert by_name["XY-YX=H"].max_abs_discrepancy_numerator == 3
         assert by_name["HX-XH=2X"].passed  # 0 = 0 still holds
         assert not report.all_pass
-
-    def test_json_report_shape(self):
-        import json
-
-        doc = json.loads(verify_brackets(build_cohomology_module(2)).to_json())
-        assert doc[0] == {
-            "relation": "XY-YX=H",
-            "pass": True,
-            "max_abs_discrepancy_numerator": 0,
-        }
 
     @pytest.mark.parametrize("n", range(0, 16))
     def test_single_factors(self, n):
@@ -850,6 +853,6 @@ class TestHardLefschetz:
             dst = m.basis_weights.index(-k)
             vec = {src: 1}
             for _ in range(k):
-                vec = m.Y.apply(vec)
+                vec = apply(m.Y, vec)
             # both weight spaces are lines, so bijection == nonzero image
             assert vec.get(dst, 0) != 0

@@ -70,7 +70,7 @@ def peel_or_none(c):
 def sums_of_irreducibles(max_label, max_summands):
     for count in range(1, max_summands + 1):
         for labels in combinations_with_replacement(range(max_label + 1), count):
-            poly = LaurentPoly.zero()
+            poly = LaurentPoly()
             for k in labels:
                 poly = poly + irrep_character(k).poly
             yield Character(poly)
@@ -148,9 +148,10 @@ class TestCharacterInvariants:
         assert c.poly == poly and str(c) == str(poly) == text
         assert c == Character(LaurentPoly.parse(text)) and c == char_of(str(c))
         assert hash(c) == hash(Character(LaurentPoly.parse(text)))
-        assert c.dimension == poly.evaluate_at_one()
+        terms = dict(poly.terms())
+        assert c.dimension == sum(terms.values())
         top = poly.degree if poly else 0
-        assert all(c.coefficient(k) == poly.coefficient(k) for k in range(-top - 3, top + 4))
+        assert all(c.coefficient(k) == terms.get(k, 0) for k in range(-top - 3, top + 4))
         if poly:
             assert c.top_degree == top
         else:
@@ -164,24 +165,7 @@ class TestCharacterInvariants:
         assert len(set(chars)) == len(texts)
         assert all((a == b) is (i == j) for i, a in enumerate(chars)
                    for j, b in enumerate(chars))
-        assert char_of("1") != LaurentPoly.one()
-
-    @pytest.mark.parametrize(
-        "left,right",
-        [
-            ("q^2 + q + 1 + q^-1 + q^-2", "q + q^-1"),
-            ("q^2 + q + 1 + q^-1 + q^-2", "q^2 + q + 1 + q^-1 + q^-2"),
-            ("q^3 + 2*q^2 + q + q^-1 + 2*q^-2 + q^-3", "2"),
-            ("q^5 + q^-5", "q^2 + 3 + q^-2"),
-            ("1", "q + q^-1"),
-            ("0", "q + q^-1"),
-            ("q + q^-1", "0"),
-        ],
-    )
-    def test_product_matches_sparse_product(self, left, right):
-        a, b = char_of(left), char_of(right)
-        assert a * b == Character(a.poly * b.poly)
-        assert str(a * b) == str(a.poly * b.poly)
+        assert char_of("1") != LaurentPoly({0: 1})
 
 
 class TestTensorCharacter:
@@ -223,7 +207,7 @@ class TestClebschGordan:
     def test_reconstruction(self, n):
         for labels in partitions(n):
             c = tensor_character([irrep_character(k) for k in labels])
-            acc = LaurentPoly.zero()
+            acc = LaurentPoly()
             for label, mult in clebsch_gordan_decompose(c).counts():
                 coeffs = irrep_character(label).poly
                 for _ in range(mult):
@@ -240,8 +224,10 @@ class TestIrrepMultiset:
         assert str(IrrepMultiset((2, 1))) == "2,1"
         assert str(IrrepMultiset((1, 1, 1))) == "1^3"
 
-    def test_total(self):
-        assert IrrepMultiset((3, 1, 1)).total() == 5
+    def test_labels_may_come_from_an_iterator(self):
+        # the labels are checked, then stored: an iterator is read once
+        assert IrrepMultiset(lab for lab in (1, 3, 1)) == IrrepMultiset((1, 3, 1))
+        assert IrrepMultiset(iter(())) == IrrepMultiset(())
 
     @pytest.mark.parametrize("labels", [(1.5,), (2, 1.0), ("3",)])
     def test_non_int_labels_rejected(self, labels):
@@ -374,7 +360,7 @@ def test_dimension_multiplicativity(labels):
     for k in labels:
         expected *= k + 1
     assert c.dimension == expected
-    assert c.poly.evaluate_at_one() == expected
+    assert sum(coeff for _, coeff in c.poly.terms()) == expected
 
 
 @given(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=4))
