@@ -16,8 +16,10 @@ the same invocation always produces byte-identical stdout.
 Exit codes: 0 = result computed (including NON_ISOMORPHIC verdicts -- the
 answer to a question is not an error); 1 = domain failure (e.g. a character
 with no factorization into nontrivial irreducibles, or a failed expectation
-in lefschetz-check); 2 = usage or parse error.  Requests over a size limit
-are usage errors, each sized by what it would print:
+in lefschetz-check); 2 = usage or parse error.  Each error, argparse's too,
+is one ``error: ...`` line on stderr, and ``main`` returns its exit code
+(only ``--help`` raises ``SystemExit``).  Requests over a size limit are
+usage errors, each sized by what it would print:
 
 * ``table``: more than 10^4 cells;
 * ``betti`` and every ``table`` cell: a Betti row of more than 4001 numbers
@@ -76,17 +78,14 @@ from .symcurve import _compare, _poincare_rows, compare_dimensions, poincare_pol
 
 
 class _UsageError(Exception):
-    """Bad arguments discovered after argparse: reported on stderr, exit 2."""
+    """Bad arguments, from argparse or a handler: reported on stderr, exit 2."""
 
 
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text, 10)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative: {text}")
-    return value
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that raises its errors instead of exiting."""
+
+    def error(self, message: str):
+        raise _UsageError(message)
 
 
 def _parse_range(text: str, what: str, minimum: int) -> range:
@@ -174,7 +173,9 @@ def _more_digits(g: int, n: int, digits: int) -> bool:
 
 
 def _check_size(g: int, n: int, row: bool) -> None:
-    """Refuse a (g, n) request over the number, row or row-digit limit."""
+    """Refuse a negative g, or (g, n) over the number, row or row-digit limit."""
+    if g < 0:
+        raise _UsageError(f"genus must be >= 0, got {g}")
     if row and 2 * n + 1 > _ROW_LIMIT:
         raise _UsageError(
             f"Betti row of {2 * n + 1} numbers (n = {n}) exceeds the "
@@ -288,10 +289,9 @@ def _factor_roundtrip(args: argparse.Namespace) -> int:
             character = tensor_character([irrep_character(k) for k in labels])
             recovered = factor_tensor_of_irreps(character)
             if recovered.labels != labels:
-                sys.stderr.write(
-                    f"round-trip failure: {labels} factored as {recovered}\n"
+                raise FactorizationError(
+                    f"round-trip failure: {labels} factored as {recovered}"
                 )
-                return 1
             verified += 1
     doc = {"limit": limit, "verified": verified, "ok": True}
     _emit(args, doc, [doc], f"verified {verified} factorizations with sum <= {limit}")
@@ -305,8 +305,6 @@ _MODULE_DIM_LIMIT = 200_000
 
 
 def _cmd_lefschetz_check(args: argparse.Namespace) -> int:
-    if (args.n is None) == (args.partition is None):
-        raise _UsageError("give either a dimension N or --partition, not both")
     if args.partition is not None:
         parts = _partition(args.partition).parts
     elif args.n < 0:
@@ -399,7 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="suppress stdout; the exit code still carries the outcome",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="multiproj",
         description="Classify multiprojective spaces and compute symmetric-product cohomology.",
     )
@@ -417,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "betti", parents=[common], help="Betti numbers of Sym^n of a genus-g curve"
     )
-    p.add_argument("--genus", type=_nonneg_int, required=True)
+    p.add_argument("--genus", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument(
         "--sum", action="store_true", help="emit only the total dimension"
@@ -429,7 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="compare dim H*(Sym^n C) with dim Sym^n(H*(C))",
     )
-    p.add_argument("--genus", type=_nonneg_int, required=True)
+    p.add_argument("--genus", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(handler=_cmd_dims)
 
@@ -456,8 +454,9 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="verify bracket relations, character, and irreducibility of the matrix module",
     )
-    p.add_argument("n", nargs="?", type=int, help="projective-space dimension")
-    p.add_argument("--partition", help="check the tensor module of a product instead")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("n", nargs="?", type=int, help="projective-space dimension")
+    group.add_argument("--partition", help="check the tensor module of a product instead")
     p.set_defaults(handler=_cmd_lefschetz_check)
 
     p = sub.add_parser(
@@ -473,9 +472,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, groupby
 from operator import sub
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .exactalg import LaurentPoly, _require_int
 
@@ -123,6 +123,16 @@ def _validated(coeffs: tuple[int, ...]) -> tuple[int, ...]:
     return coeffs
 
 
+def _labels(values: Iterable[int]) -> tuple[int, ...]:
+    """The values, read once, as a tuple of irreducible labels: ints >= 0."""
+    labels = tuple(values)
+    _require_int("irreducible labels", labels)
+    for lab in labels:
+        if lab < 0:
+            raise ValueError(f"irreducible labels are nonnegative, got {lab}")
+    return labels
+
+
 @dataclass(frozen=True)
 class IrrepMultiset:
     """Multiset of irreducible labels, canonically sorted descending.
@@ -134,12 +144,8 @@ class IrrepMultiset:
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        labels = tuple(self.labels)  # checked, then read: an iterator is read once
-        _require_int("irreducible labels", labels)
-        for lab in labels:
-            if lab < 0:
-                raise ValueError(f"irreducible labels are nonnegative, got {lab}")
-        object.__setattr__(self, "labels", tuple(sorted(labels, reverse=True)))
+        labels = sorted(_labels(self.labels), reverse=True)
+        object.__setattr__(self, "labels", tuple(labels))
 
     def counts(self) -> list[tuple[int, int]]:
         """(label, multiplicity) pairs, labels descending."""
@@ -164,9 +170,7 @@ class IrrepMultiset:
 
 def irrep_character(n: int) -> Character:
     """Character q^n + q^(n-2) + ... + q^(-n) of the irreducible with label n."""
-    _require_int("irreducible labels", (n,))
-    if n < 0:
-        raise ValueError(f"irreducible labels are nonnegative, got {n}")
+    _labels((n,))
     return Character(LaurentPoly({k: 1 for k in range(-n, n + 1, 2)}))
 
 
@@ -192,12 +196,8 @@ def tensor_irreps_character(labels: Sequence[int]) -> Character:
     1 - x^(n+1) and divides them by 1 - x (prefix sums).  No labels give the
     trivial character 1.
     """
-    labels = tuple(labels)  # checked, then read: an iterator is read once
-    _require_int("irreducible labels", labels)
     coeffs = [1]
-    for lab in labels:
-        if lab < 0:
-            raise ValueError(f"irreducible labels are nonnegative, got {lab}")
+    for lab in _labels(labels):
         shifted = map(sub, coeffs + [0] * lab, [0] * (lab + 1) + coeffs)
         coeffs = list(accumulate(shifted))
     dense = [0] * (2 * len(coeffs) - 1)  # weights of the other parity are 0

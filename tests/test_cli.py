@@ -3,20 +3,26 @@
 Almost everything here shells out to ``python -m multiproj`` so the entry
 point, argument parsing, and stream handling are exercised exactly as a user
 would hit them.  The boundary tests of the size limits run ``cli.main``
-in-process, so that each limit can be lowered to a cheap value.
+in-process, so that each limit can be lowered to a cheap value, and so do the
+tests that every error is one line returned by ``main``, never a
+``SystemExit``.
 """
 
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from jsonschema import validate
 
 from multiproj import cli
+from multiproj.sl2rep import IrrepMultiset
 from multiproj.symcurve import total_dim_cohomology
 
 VERDICT_SCHEMA = {
@@ -431,3 +437,114 @@ def test_limit_boundary(monkeypatch, capsys, name, limit, args):
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and str(limit - 1) in err
+
+
+def main_in_process(argv):
+    """``cli.main(argv)`` in-process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            raise AssertionError(f"cli.main raised SystemExit({exc.code})") from None
+    return code, out.getvalue(), err.getvalue()
+
+
+def unreachable(*args):
+    raise AssertionError("a usage error reached the library")
+
+
+# Each usage error, argparse's or a handler's, is one line returned by main,
+# found before any computation starts.
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ([], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+        (["betti", "--genus", "1"], "the following arguments are required: --n"),
+        (["betti", "--genus", "x", "--n", "2"], "argument --genus: invalid int value: 'x'"),
+        (["dims", "--genus", "1", "--n", "2", "extra"], "unrecognized arguments: extra"),
+        (
+            ["factor", "--partition", "2", "--char", "q"],
+            "argument --char: not allowed with argument --partition",
+        ),
+        (
+            ["lefschetz-check", "3", "--partition", "2,1"],
+            "argument --partition: not allowed with argument n",
+        ),
+        (["lefschetz-check"], "one of the arguments n --partition is required"),
+        (["betti", "--genus", "-1", "--n", "2"], "genus must be >= 0, got -1"),
+        (["dims", "--genus", "-1", "--n", "2"], "genus must be >= 0, got -1"),
+    ],
+    ids=["no-command", "unknown-command", "missing-argument", "non-int",
+         "extra-argument", "factor-two-inputs", "lefschetz-both", "lefschetz-neither",
+         "betti-negative-genus", "dims-negative-genus"],
+)
+def test_usage_error_is_one_returned_line(monkeypatch, argv, message):
+    for name in ("poincare_polynomial", "compare_dimensions", "_poincare_rows",
+                 "factor_tensor_of_irreps", "build_cohomology_module", "classify"):
+        monkeypatch.setattr(cli, name, unreachable)
+    code, out, err = main_in_process(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+    assert err.endswith("\n")
+
+
+def test_roundtrip_mismatch_is_one_error_line(monkeypatch):
+    monkeypatch.setattr(cli, "factor_tensor_of_irreps", lambda c: IrrepMultiset((0,)))
+    assert main_in_process(["factor", "--roundtrip", "3"]) == (
+        1, "", "error: round-trip failure: (1,) factored as 0\n"
+    )
+
+
+# Small values only: every argv that parses is a cheap request.
+TOKENS = st.sampled_from([
+    "0", "1", "2", "3", "6", "-1", "-7", "x", "", "1.5", "1..2", "2..1", "0..1",
+    "-1..1", "1..", "..", "2,1", "1,1", "0,2", "2,,1", "q", "q^2 + 2 + q^-2",
+    "q^^2", "q^3 + q^-3", "json", "csv", "xml", "--quiet", "--sum", "--",
+])
+OPTIONS = st.sampled_from([
+    "--genus", "--n", "--partition", "--char", "--roundtrip", "--format",
+])
+ARGUMENTS = st.lists(
+    st.one_of(st.tuples(OPTIONS, TOKENS), st.tuples(TOKENS)), max_size=2
+).map(lambda groups: [token for group in groups for token in group])
+INTS = st.sampled_from(["0", "1", "2", "3", "6"])
+RANGES = st.sampled_from(["0..1", "1..2", "2", "1..3"])
+PARTITIONS = st.sampled_from(["2,1", "1,1", "3", "1,1,1"])
+CHARACTERS = st.sampled_from(["q^2 + 2 + q^-2", "q^3 + q^-3", "q + q^-1", "0"])
+# Each command's own options, and in each slot a fitting value or any token,
+# so that a fair share of the argv parse.
+SHAPES = [
+    ["classify", PARTITIONS, PARTITIONS],
+    ["betti", "--genus", INTS, "--n", INTS],
+    ["dims", "--genus", INTS, "--n", INTS],
+    ["factor", "--partition", PARTITIONS],
+    ["factor", "--char", CHARACTERS],
+    ["factor", "--roundtrip", INTS],
+    ["lefschetz-check", INTS],
+    ["lefschetz-check", "--partition", PARTITIONS],
+    ["table", "--genus", RANGES, "--n", RANGES],
+    ["bogus"],
+]
+
+
+@st.composite
+def argvs(draw):
+    shape = draw(st.sampled_from(SHAPES))
+    head = [s if isinstance(s, str) else draw(st.one_of(s, TOKENS)) for s in shape]
+    return head + draw(ARGUMENTS)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(argv=argvs())
+def test_every_argv_ends_in_a_returned_code(argv):
+    code, out, err = main_in_process(argv)
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert err.endswith("\n")
+    if code == 2:
+        assert out == ""

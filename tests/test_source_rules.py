@@ -1,5 +1,6 @@
 """Rules on the package source: no cache that grows without bound, no floats,
-no whole-matrix products, one writer of the command line's stdout, no sparse
+no whole-matrix products, one writer of the command line's stdout and one of
+its stderr, no sparse
 characters in the classifier, no dense character built outside sl2rep, no
 series container behind symcurve, no closed form inside the series expansion,
 no Betti number computed by the command line, one owner of the int check,
@@ -233,6 +234,62 @@ def test_rule_detects_output_outside_emit(source, flagged):
 def test_json_dump_caught_only_by_its_own_pair():
     tree = ast.parse(EMIT + "def f(doc, out):\n    json.dump(doc, out)\n")
     assert output_outside_emit(tree, STDOUT_NAMES - {("json", "dump")}) == []
+
+
+def stderr_outside_main(tree):
+    """Line numbers of ``sys.stderr`` and ``from sys import stderr`` outside ``main``.
+
+    Every failure of the command line reaches ``main`` as an exception, and
+    ``main`` alone writes it, as one ``error: ...`` line.
+    """
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "main":
+            inside.update(map(id, ast.walk(node)))
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if (node.value.id, node.attr) == ("sys", "stderr"):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+            lines += [node.lineno for a in node.names if a.name == "stderr"]
+    return lines
+
+
+def test_only_main_writes_stderr():
+    path = Path(multiproj.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert stderr_outside_main(tree) == []
+
+
+MAIN = (
+    "def main(argv):\n"
+    "    try:\n"
+    "        return run(argv)\n"
+    "    except UsageError as exc:\n"
+    "        sys.stderr.write(f'error: {exc}\\n')\n"
+    "        return 2\n"
+)
+
+
+@pytest.mark.parametrize(
+    "source,flagged",
+    [
+        (MAIN, False),
+        (MAIN + "def f(text):\n    sys.stderr.write(text)\n", True),
+        (MAIN + "def f(text):\n    print(text, file=sys.stderr)\n", True),
+        (MAIN + "def f(text, out=sys.stderr):\n    out.write(text)\n", True),
+        (MAIN + "from sys import stderr\n", True),
+        (MAIN + "def f(text):\n    sys.stdout.write(text)\n", False),
+        (MAIN + "def f(text):\n    raise UsageError(text)\n", False),
+    ],
+    ids=["main-only", "second-stderr-write", "print-to-stderr", "default-argument",
+         "import-stderr", "stdout", "raise"],
+)
+def test_rule_detects_stderr_outside_main(source, flagged):
+    assert bool(stderr_outside_main(ast.parse(source))) is flagged
 
 
 DENSE_CHARACTER_NAMES = {"_from_dense", "_coeffs"}
