@@ -51,12 +51,6 @@ class Partition:
         """The partitioned number: total dimension of the product space."""
         return sum(self.parts)
 
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
     def __str__(self) -> str:
         return ",".join(str(p) for p in self.parts)
 

@@ -16,19 +16,20 @@ the same invocation always produces byte-identical stdout.
 Exit codes: 0 = result computed (including NON_ISOMORPHIC verdicts -- the
 answer to a question is not an error); 1 = domain failure (e.g. a character
 with no factorization into nontrivial irreducibles, or a failed expectation
-in lefschetz-check); 2 = usage or parse error.  Each error, argparse's too,
-is one ``error: ...`` line on stderr, and ``main`` returns its exit code
-(only ``--help`` raises ``SystemExit``).  Requests over a size limit are
-usage errors, each sized by what it would print:
+in lefschetz-check, after its report); 2 = usage or parse error.  Each error,
+argparse's too, is one ``error: ...`` line on stderr, and ``main`` alone
+returns the exit code (only ``--help`` raises ``SystemExit``).  Requests
+over a size limit are usage errors, each sized by what it would print:
 
 * ``table``: more than 10^4 cells;
 * ``betti`` and every ``table`` cell: a Betti row of more than 4001 numbers
   (n > 2000), or of more than 10^5 digits;
 * ``betti``, ``dims`` and every ``table`` cell: a number of more than 4000
-  digits (Python's int-to-str conversion stops at 4300);
-* ``classify`` and ``factor``: a character of top degree over 2000 (4001
-  dense coefficients; for ``factor --char`` the largest |exponent|, checked
-  before the character is built);
+  digits (Python's int-to-str conversion stops at 4300), and so is the sum
+  of every partition (which ``classify`` prints);
+* ``classify`` (of two equal dimensions) and ``factor``: a character of top
+  degree over 2000 (4001 dense coefficients; for ``factor --char`` the
+  largest |exponent|, checked before the character is built);
 * ``lefschetz-check``: a module of dimension over 200000;
 * ``factor --roundtrip``: a bound beyond 25.
 
@@ -81,6 +82,10 @@ class _UsageError(Exception):
     """Bad arguments, from argparse or a handler: reported on stderr, exit 2."""
 
 
+class _CheckFailed(Exception):
+    """A command's own check of a library answer failed: reported on stderr, exit 1."""
+
+
 class _Parser(argparse.ArgumentParser):
     """An argparse parser that raises its errors instead of exiting."""
 
@@ -127,9 +132,13 @@ def _emit(args: argparse.Namespace, doc, rows: list[dict], text: str) -> None:
 
 def _partition(text: str) -> Partition:
     try:
-        return parse_partition(text)
+        p = parse_partition(text)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+    # classify prints the sum; below 2^(3 digits) < 10^digits it is short enough
+    if p.n.bit_length() > 3 * _DIGIT_LIMIT and p.n >= 10**_DIGIT_LIMIT:
+        raise _UsageError(f"partition sums to a number of more than {_DIGIT_LIMIT} digits")
+    return p
 
 
 _CHARACTER_DEGREE_LIMIT = 2000
@@ -195,19 +204,19 @@ def _check_size(g: int, n: int, row: bool) -> None:
 # ---------------------------------------------------------------- classify
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(args: argparse.Namespace) -> None:
     p1, p2 = _partition(args.partition1), _partition(args.partition2)
-    _check_degree(max(p1.n, p2.n))
+    if p1.n == p2.n:  # distinct dimensions are answered without characters
+        _check_degree(p1.n)
     doc = classify(p1, p2).to_json_dict()
     text = "\n".join(f"{k}: {v}" for k, v in doc.items() if v is not None)
     _emit(args, doc, [doc], text)
-    return 0
 
 
 # ------------------------------------------------------------------- betti
 
 
-def _cmd_betti(args: argparse.Namespace) -> int:
+def _cmd_betti(args: argparse.Namespace) -> None:
     if args.n < 1:
         raise _UsageError(f"--n must be >= 1, got {args.n}")
     g, n = args.genus, args.n
@@ -221,13 +230,12 @@ def _cmd_betti(args: argparse.Namespace) -> int:
         rows = [{"g": g, "n": n, "r": r, "betti": b} for r, b in enumerate(pp.betti)]
         text = ",".join(map(str, pp.betti))
     _emit(args, doc, rows, text)
-    return 0
 
 
 # -------------------------------------------------------------------- dims
 
 
-def _cmd_dims(args: argparse.Namespace) -> int:
+def _cmd_dims(args: argparse.Namespace) -> None:
     if args.n < 2:
         raise _UsageError(
             f"--n must be >= 2 (the comparison is trivial below that), got {args.n}"
@@ -236,15 +244,15 @@ def _cmd_dims(args: argparse.Namespace) -> int:
     dims = compare_dimensions(args.genus, args.n)
     doc = {**asdict(dims), "relation": dims.relation.value}
     _emit(args, doc, [doc], f"{dims.total_dim},{dims.sym_dim},{dims.relation.value}")
-    return 0
 
 
 # ------------------------------------------------------------------ factor
 
 
-def _cmd_factor(args: argparse.Namespace) -> int:
+def _cmd_factor(args: argparse.Namespace) -> None:
     if args.roundtrip is not None:
-        return _factor_roundtrip(args)
+        _factor_roundtrip(args)
+        return
     if args.partition is not None:
         p = _partition(args.partition)
         _check_degree(p.n)
@@ -269,13 +277,12 @@ def _cmd_factor(args: argparse.Namespace) -> int:
     }
     rows = [{"label": k, "multiplicity": m} for k, m in factors.counts()]
     _emit(args, doc, rows, str(factors))
-    return 0
 
 
 _ROUNDTRIP_LIMIT = 25
 
 
-def _factor_roundtrip(args: argparse.Namespace) -> int:
+def _factor_roundtrip(args: argparse.Namespace) -> None:
     limit = args.roundtrip
     if limit < 1:
         raise _UsageError(f"--roundtrip bound must be >= 1, got {limit}")
@@ -289,13 +296,12 @@ def _factor_roundtrip(args: argparse.Namespace) -> int:
             character = tensor_character([irrep_character(k) for k in labels])
             recovered = factor_tensor_of_irreps(character)
             if recovered.labels != labels:
-                raise FactorizationError(
+                raise _CheckFailed(
                     f"round-trip failure: {labels} factored as {recovered}"
                 )
             verified += 1
     doc = {"limit": limit, "verified": verified, "ok": True}
     _emit(args, doc, [doc], f"verified {verified} factorizations with sum <= {limit}")
-    return 0
 
 
 # -------------------------------------------------------- lefschetz-check
@@ -304,7 +310,7 @@ def _factor_roundtrip(args: argparse.Namespace) -> int:
 _MODULE_DIM_LIMIT = 200_000
 
 
-def _cmd_lefschetz_check(args: argparse.Namespace) -> int:
+def _cmd_lefschetz_check(args: argparse.Namespace) -> None:
     if args.partition is not None:
         parts = _partition(args.partition).parts
     elif args.n < 0:
@@ -313,8 +319,9 @@ def _cmd_lefschetz_check(args: argparse.Namespace) -> int:
         parts = (args.n,)
     dim = prod(k + 1 for k in parts)
     if dim > _MODULE_DIM_LIMIT:
+        shown = dim if dim < 10**_DIGIT_LIMIT else f"over 10^{_DIGIT_LIMIT}"
         raise _UsageError(
-            f"module of dimension {dim} exceeds the {_MODULE_DIM_LIMIT}-dimension guard"
+            f"module of dimension {shown} exceeds the {_MODULE_DIM_LIMIT}-dimension guard"
         )
     module = reduce(tensor_modules, map(build_cohomology_module, parts))
     expect_irreducible = len(parts) == 1
@@ -322,7 +329,9 @@ def _cmd_lefschetz_check(args: argparse.Namespace) -> int:
     char = module_character(module)
     char_ok = char == tensor_irreps_character(parts)
     irreducible = is_irreducible(module)
-    ok = report.all_pass and char_ok and irreducible == expect_irreducible
+    passed = {c.relation: c.passed for c in report.checks}
+    passed.update(character_matches=char_ok, irreducible=irreducible == expect_irreducible)
+    failed = [name for name, good in passed.items() if not good]
     doc = {
         "input": ",".join(map(str, parts)),
         "dim": module.dim,
@@ -331,14 +340,15 @@ def _cmd_lefschetz_check(args: argparse.Namespace) -> int:
         "character_matches": char_ok,
         "irreducible": irreducible,
         "expected_irreducible": expect_irreducible,
-        "ok": ok,
+        "ok": not failed,
     }
     lines = [f"{c.relation}: {'pass' if c.passed else 'FAIL'}" for c in report.checks]
     lines.append(f"character: {char}")
     for key in ("character_matches", "irreducible", "expected_irreducible"):
         lines.append(f"{key}: {str(doc[key]).lower()}")
     _emit(args, doc, doc["checks"], "\n".join(lines))
-    return 0 if ok else 1
+    if failed:
+        raise _CheckFailed(f"module {doc['input']} failed: {', '.join(failed)}")
 
 
 # ------------------------------------------------------------------- table
@@ -347,7 +357,7 @@ def _cmd_lefschetz_check(args: argparse.Namespace) -> int:
 _TABLE_CELL_LIMIT = 10_000
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: argparse.Namespace) -> None:
     g_range = _parse_range(args.genus, "genus", 0)
     n_range = _parse_range(args.n, "n", 1)
     if len(g_range) * len(n_range) > _TABLE_CELL_LIMIT:
@@ -377,7 +387,6 @@ def _cmd_table(args: argparse.Namespace) -> int:
         "  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() for line in cells
     )
     _emit(args, doc, rows, text)
-    return 0
 
 
 # ------------------------------------------------------------------ parser
@@ -474,13 +483,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.handler(args)
-    except _UsageError as exc:
+        args.handler(args)
+    except (_UsageError, FactorizationError, _CheckFailed) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except FactorizationError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+        return 2 if isinstance(exc, _UsageError) else 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -164,9 +164,6 @@ class IrrepMultiset:
     def __iter__(self) -> Iterator[int]:
         return iter(self.labels)
 
-    def __len__(self) -> int:
-        return len(self.labels)
-
 
 def irrep_character(n: int) -> Character:
     """Character q^n + q^(n-2) + ... + q^(-n) of the irreducible with label n."""

@@ -95,7 +95,7 @@ class TestClassify:
         assert "error" in r.stderr
 
     def test_json_validates(self):
-        for pair in (("2,1", "1,1,1"), ("1,2", "2,1"), ("3", "2,2")):
+        for pair in (("2,1", "1,1,1"), ("1,2", "2,1"), ("3", "2,2"), ("5000", "1")):
             r = run("classify", *pair, "--format", "json")
             assert r.returncode == 0
             validate(json.loads(r.stdout), VERDICT_SCHEMA)
@@ -105,6 +105,16 @@ class TestClassify:
         lines = r.stdout.splitlines()
         assert lines[0].startswith("verdict,reason,n1,n2,")
         assert len(lines) == 2
+
+    # Distinct dimensions are answered without characters, over the degree
+    # limit too, and CSV writes the fields of the unbuilt ones empty.
+    def test_csv_leaves_unbuilt_fields_empty(self):
+        r = run("classify", "5000", "1", "--format", "csv")
+        assert r.returncode == 0
+        header, row = r.stdout.splitlines()
+        fields = dict(zip(header.split(","), row.split(",")))
+        unbuilt = ["character1", "character2", "factorization1", "factorization2"]
+        assert [fields[key] for key in unbuilt] == [""] * 4
 
 
 class TestBetti:
@@ -314,6 +324,7 @@ class TestGlobalFlags:
             str(total_dim_cohomology(10000, 100)),
         ),
         (("table", "--genus", "0..9999", "--n", "1", "--quiet"), 0, None),
+        (("classify", "5000", "1"), 0, "reason: DIMENSION_MISMATCH"),
     ],
 )
 def test_large_input_finishes(args, code, line):
@@ -344,6 +355,11 @@ def test_large_input_finishes(args, code, line):
         ("factor", "--char", "q^100000000 + q^-100000000"),
         ("factor", "--partition", "1000,1001"),
         ("classify", "2001", "2000,1"),
+        ("classify", "5000", "4999,1"),
+        # a sum of 4301 digits, whose parts int() still reads
+        ("classify", "9" * 4300 + ",1", "1"),
+        # a dimension of 2^15000, 4516 digits
+        ("lefschetz-check", "--partition", ",".join(["1"] * 15000)),
     ],
 )
 def test_size_limit_exits_2(args):
@@ -426,6 +442,7 @@ def test_digit_bound_decides_as_the_power_of_ten():
         ("_CHARACTER_DEGREE_LIMIT", 3, ("factor", "--partition", "2,1")),
         ("_CHARACTER_DEGREE_LIMIT", 2, ("factor", "--char", "q^2 + 2 + q^-2")),
         ("_CHARACTER_DEGREE_LIMIT", 3, ("classify", "2,1", "1,1,1")),
+        ("_DIGIT_LIMIT", 2, ("classify", "98,1", "1")),
     ],
 )
 def test_limit_boundary(monkeypatch, capsys, name, limit, args):
@@ -495,6 +512,24 @@ def test_roundtrip_mismatch_is_one_error_line(monkeypatch):
     assert main_in_process(["factor", "--roundtrip", "3"]) == (
         1, "", "error: round-trip failure: (1,) factored as 0\n"
     )
+
+
+# A failed expectation of lefschetz-check still prints its report, then one
+# error line that names the module and the check that failed.
+def test_failed_lefschetz_check_is_one_error_line(monkeypatch):
+    monkeypatch.setattr(cli, "is_irreducible", lambda module: False)
+    report = (
+        "XY-YX=H: pass\n"
+        "HX-XH=2X: pass\n"
+        "HY-YH=-2Y: pass\n"
+        "character: q^3 + q + q^-1 + q^-3\n"
+        "character_matches: true\n"
+        "irreducible: false\n"
+        "expected_irreducible: true\n"
+    )
+    error = "error: module 3 failed: irreducible\n"
+    assert main_in_process(["lefschetz-check", "3"]) == (1, report, error)
+    assert main_in_process(["lefschetz-check", "3", "--quiet"]) == (1, "", error)
 
 
 # Small values only: every argv that parses is a cheap request.

@@ -1,6 +1,6 @@
 """Rules on the package source: no cache that grows without bound, no floats,
 no whole-matrix products, one writer of the command line's stdout and one of
-its stderr, no sparse
+its stderr, one place that returns its exit code, no sparse
 characters in the classifier, no dense character built outside sl2rep, no
 series container behind symcurve, no closed form inside the series expansion,
 no Betti number computed by the command line, one owner of the int check,
@@ -290,6 +290,66 @@ MAIN = (
 )
 def test_rule_detects_stderr_outside_main(source, flagged):
     assert bool(stderr_outside_main(ast.parse(source))) is flagged
+
+
+def is_exit_code(node):
+    """Whether ``node`` is an int literal (a bool is not) or a conditional with one."""
+    if isinstance(node, ast.IfExp):
+        return is_exit_code(node.body) or is_exit_code(node.orelse)
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def exit_code_outside_main(tree):
+    """Line numbers of a ``return`` of an int literal outside ``main``.
+
+    A handler returns nothing: it reports a failure by raising, and ``main``
+    alone turns the outcome into the exit code.
+    """
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "main":
+            inside.update(map(id, ast.walk(node)))
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Return) and id(node) not in inside
+        and is_exit_code(node.value)
+    ]
+
+
+def test_only_main_returns_an_exit_code():
+    path = Path(multiproj.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert exit_code_outside_main(tree) == []
+
+
+EXIT = (
+    "def main(argv):\n"
+    "    try:\n"
+    "        run(argv)\n"
+    "    except (UsageError, CheckFailed) as exc:\n"
+    "        return 2 if isinstance(exc, UsageError) else 1\n"
+    "    return 0\n"
+)
+
+
+@pytest.mark.parametrize(
+    "source,flagged",
+    [
+        (EXIT, False),
+        (EXIT + "def f(args):\n    emit(args)\n    return 0\n", True),
+        (EXIT + "def f(ok):\n    return 0 if ok else 1\n", True),
+        (EXIT + "def f(ok, code):\n    return code if ok else 1\n", True),
+        (EXIT + "def f(args):\n    return g(args)\n", False),
+        (EXIT + "def f(b, bits):\n    return bits > b\n", False),
+        (EXIT + "def f(b):\n    if b:\n        return True\n    return False\n", False),
+        (EXIT + "def f(args):\n    if args.quiet:\n        return\n", False),
+    ],
+    ids=["main-only", "handler-zero", "conditional", "one-literal-branch", "call",
+         "comparison", "bool", "bare-return"],
+)
+def test_rule_detects_exit_code_outside_main(source, flagged):
+    assert bool(exit_code_outside_main(ast.parse(source))) is flagged
 
 
 DENSE_CHARACTER_NAMES = {"_from_dense", "_coeffs"}
@@ -610,7 +670,8 @@ TEST_ONLY_METHODS = {
     "LaurentPoly": {"zero", "one", "term", "coefficient", "evaluate_at_one",
                     "__neg__", "__sub__"},
     "Character": {"__mul__"},
-    "IrrepMultiset": {"total"},
+    "Partition": {"__iter__", "__len__"},
+    "IrrepMultiset": {"total", "__len__"},
     "RatMatrix": {"entry", "is_zero", "apply"},
     "BracketReport": {"to_json"},
 }
@@ -651,12 +712,16 @@ def test_no_test_only_methods(path):
         ("class BracketReport:\n    def to_json(self): pass", True),
         ("def f():\n    class RatMatrix:\n        def entry(self): pass", True),
         ("class RatMatrix:\n    def _apply(self, rows, vec): pass", False),
+        ("class Partition:\n    def __len__(self): pass", True),
+        ("class IrrepMultiset:\n    def __len__(self): pass", True),
+        ("class IrrepMultiset:\n    def __iter__(self): pass", False),
         ("class LaurentPoly:\n    def __add__(self, o): pass", False),
         ("class PoincarePolynomial:\n    def total(self): pass", False),
         ("def entry(m, i, j): pass", False),
     ],
     ids=["method", "classmethod", "dunder", "alias", "report", "nested",
-         "private", "kept", "other-class", "function"],
+         "partition-len", "multiset-len", "multiset-iter", "private", "kept",
+         "other-class", "function"],
 )
 def test_rule_detects_test_only_methods(source, flagged):
     assert bool(methods_read_only_by_tests(ast.parse(source))) is flagged
