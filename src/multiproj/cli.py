@@ -25,8 +25,9 @@ over a size limit are usage errors, each sized by what it would print:
 * ``betti`` and every ``table`` cell: a Betti row of more than 4001 numbers
   (n > 2000), or of more than 10^5 digits;
 * ``betti``, ``dims`` and every ``table`` cell: a number of more than 4000
-  digits (Python's int-to-str conversion stops at 4300), and so is the sum
-  of every partition (which ``classify`` prints);
+  digits (Python's int-to-str conversion stops at 4300), as is the sum of
+  every partition (which ``classify`` prints) and a ``factor --char``
+  coefficient; a refusal shows a size of more as ``over 10^4000``;
 * ``classify`` (of two equal dimensions) and ``factor``: a character of top
   degree over 2000 (4001 dense coefficients; for ``factor --char`` the
   largest |exponent|, checked before the character is built);
@@ -54,7 +55,7 @@ import sys
 from dataclasses import asdict
 from functools import reduce
 from itertools import islice
-from math import prod
+from math import comb, prod
 from typing import Sequence
 
 from .classifier import Partition, classify, cohomology_character, parse_partition
@@ -135,8 +136,7 @@ def _partition(text: str) -> Partition:
         p = parse_partition(text)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    # classify prints the sum; below 2^(3 digits) < 10^digits it is short enough
-    if p.n.bit_length() > 3 * _DIGIT_LIMIT and p.n >= 10**_DIGIT_LIMIT:
+    if _over_digits(p.n, _DIGIT_LIMIT):  # classify prints the sum
         raise _UsageError(f"partition sums to a number of more than {_DIGIT_LIMIT} digits")
     return p
 
@@ -158,27 +158,28 @@ _ROW_DIGIT_LIMIT = 100_000
 _DIGIT_LIMIT = 4000
 
 
+def _over_digits(v: int, digits: int) -> bool:
+    """Whether v >= 0 has more than ``digits`` digits; v < 2^(3 digits) has not."""
+    return v.bit_length() > 3 * digits and v >= 10**digits
+
+
+def _shown(v: int) -> str:
+    """v >= 0 as a refusal message prints it: past the digit limit, ``over 10^4000``."""
+    return f"over 10^{_DIGIT_LIMIT}" if _over_digits(v, _DIGIT_LIMIT) else str(v)
+
+
 def _more_digits(g: int, n: int, digits: int) -> bool:
     """Whether C(2g+n+1, n) has more than ``digits`` digits.
 
-    b runs through C(a - k + i, i) for i = 1..k, the last being C(a, k) with
-    k = min(n, 2g+1) <= a/2, so b at least doubles at each step and the loop
-    stops within about 3.3 * digits steps of reaching the bound.  A b under
-    2^(3 digits) is below 10^digits and one of at least 2^(4 digits) above
-    it, so the power 10^digits is formed only for a b between the two.
+    With a = 2g+n+1 and k = min(n, 2g+1) >= 1, C(a, n) = C(a, k) and a >= 2k,
+    so each factor (a-i)/(k-i) is at least a/k and C(a, k) >= (a//k)^k.  A
+    bound past 2^(4 digits) > 10^digits answers yes; below it C(a, k) has
+    fewer than about 14 * digits bits, and is formed.
     """
     a, k = 2 * g + n + 1, min(n, 2 * g + 1)
-    bound, b = None, 1
-    for i in range(1, k + 1):
-        b = b * (a - k + i) // i
-        bits = b.bit_length()
-        if bits > 4 * digits:
-            return True
-        if bits > 3 * digits:
-            bound = bound or 10**digits
-            if b >= bound:
-                return True
-    return False
+    if k * ((a // k).bit_length() - 1) > 4 * digits:
+        return True
+    return _over_digits(comb(a, k), digits)
 
 
 def _check_size(g: int, n: int, row: bool) -> None:
@@ -187,7 +188,7 @@ def _check_size(g: int, n: int, row: bool) -> None:
         raise _UsageError(f"genus must be >= 0, got {g}")
     if row and 2 * n + 1 > _ROW_LIMIT:
         raise _UsageError(
-            f"Betti row of {2 * n + 1} numbers (n = {n}) exceeds the "
+            f"Betti row of {_shown(2 * n + 1)} numbers (n = {n}) exceeds the "
             f"{_ROW_LIMIT}-number limit"
         )
     if _more_digits(g, n, _DIGIT_LIMIT):
@@ -264,6 +265,8 @@ def _cmd_factor(args: argparse.Namespace) -> None:
             if poly:  # the zero character has no degree; factor refuses it
                 # before the character is built: it is dense from q^N to q^-N
                 _check_degree(max(poly.degree, -poly.valuation))
+            if any(_over_digits(abs(c), _DIGIT_LIMIT) for _, c in poly.terms()):
+                raise _UsageError(f"coefficient of more than {_DIGIT_LIMIT} digits")
             character = Character(poly)
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
@@ -319,9 +322,9 @@ def _cmd_lefschetz_check(args: argparse.Namespace) -> None:
         parts = (args.n,)
     dim = prod(k + 1 for k in parts)
     if dim > _MODULE_DIM_LIMIT:
-        shown = dim if dim < 10**_DIGIT_LIMIT else f"over 10^{_DIGIT_LIMIT}"
         raise _UsageError(
-            f"module of dimension {shown} exceeds the {_MODULE_DIM_LIMIT}-dimension guard"
+            f"module of dimension {_shown(dim)} exceeds the "
+            f"{_MODULE_DIM_LIMIT}-dimension guard"
         )
     module = reduce(tensor_modules, map(build_cohomology_module, parts))
     expect_irreducible = len(parts) == 1
@@ -360,9 +363,10 @@ _TABLE_CELL_LIMIT = 10_000
 def _cmd_table(args: argparse.Namespace) -> None:
     g_range = _parse_range(args.genus, "genus", 0)
     n_range = _parse_range(args.n, "n", 1)
-    if len(g_range) * len(n_range) > _TABLE_CELL_LIMIT:
+    g_span, n_span = g_range.stop - g_range.start, n_range.stop - n_range.start
+    if g_span * n_span > _TABLE_CELL_LIMIT:
         raise _UsageError(
-            f"table of {len(g_range)}x{len(n_range)} cells exceeds the "
+            f"table of {_shown(g_span)}x{_shown(n_span)} cells exceeds the "
             f"{_TABLE_CELL_LIMIT}-cell guard"
         )
     _check_size(g_range[-1], n_range[-1], row=True)  # the largest cell

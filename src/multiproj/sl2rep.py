@@ -223,23 +223,18 @@ def clebsch_gordan_decompose(c: Character) -> IrrepMultiset:
     return IrrepMultiset(tuple(labels))
 
 
-def partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
+def partitions(n: int) -> Iterator[tuple[int, ...]]:
     """Partitions of n as descending tuples, in decreasing lexicographic order.
 
-    Parts are at most max_part (default n).  Each partition follows from the
-    last without recursion: the last part above 1 drops by one, and the
-    trailing 1s plus the one it lost are refilled greedily with parts no
-    larger than it.
+    Each partition follows from the last without recursion: the last part
+    above 1 drops by one, and the trailing 1s plus the one it lost are
+    refilled greedily with parts no larger than it.
     """
-    _require_int(("n", "max_part"), (n,) if max_part is None else (n, max_part))
+    _require_int("n", (n,))
     if n < 0:
         raise ValueError(f"cannot partition a negative integer: {n}")
-    if max_part is None or max_part > n:
-        max_part = n
-    if n and max_part < 1:
-        return
     parts: list[int] = []
-    rest, cap = n, max_part
+    rest, cap = n, n
     while True:
         if rest:
             q, r = divmod(rest, cap)

@@ -360,6 +360,16 @@ def test_large_input_finishes(args, code, line):
         ("classify", "9" * 4300 + ",1", "1"),
         # a dimension of 2^15000, 4516 digits
         ("lefschetz-check", "--partition", ",".join(["1"] * 15000)),
+        # spans and row lengths too long to print, and a summed coefficient
+        # of 4301 digits
+        ("table", "--genus", "0.." + "9" * 4300, "--n", "1"),
+        ("table", "--genus", "0", "--n", "1.." + "9" * 4300),
+        ("betti", "--genus", "1", "--n", "9" * 4300),
+        ("betti", "--genus", "0", "--n", "9" * 4300),
+        ("table", "--genus", "1", "--n", "9" * 4300),
+        ("factor", "--char", "{0}*q + {0}*q + {0}*q^-1 + {0}*q^-1".format("9" * 4300)),
+        # refused after C(32001, 16000) is formed
+        ("dims", "--genus", "8000", "--n", "16000"),
     ],
 )
 def test_size_limit_exits_2(args):
@@ -443,6 +453,7 @@ def test_digit_bound_decides_as_the_power_of_ten():
         ("_CHARACTER_DEGREE_LIMIT", 2, ("factor", "--char", "q^2 + 2 + q^-2")),
         ("_CHARACTER_DEGREE_LIMIT", 3, ("classify", "2,1", "1,1,1")),
         ("_DIGIT_LIMIT", 2, ("classify", "98,1", "1")),
+        ("_DIGIT_LIMIT", 1, ("factor", "--char", "q^2 + 2 + q^-2")),
     ],
 )
 def test_limit_boundary(monkeypatch, capsys, name, limit, args):
@@ -532,11 +543,13 @@ def test_failed_lefschetz_check_is_one_error_line(monkeypatch):
     assert main_in_process(["lefschetz-check", "3", "--quiet"]) == (1, "", error)
 
 
-# Small values only: every argv that parses is a cheap request.
+# Small values, and numbers at the 4300 digits Python still turns into text,
+# which every command refuses before doing any work: every argv is cheap.
 TOKENS = st.sampled_from([
     "0", "1", "2", "3", "6", "-1", "-7", "x", "", "1.5", "1..2", "2..1", "0..1",
     "-1..1", "1..", "..", "2,1", "1,1", "0,2", "2,,1", "q", "q^2 + 2 + q^-2",
     "q^^2", "q^3 + q^-3", "json", "csv", "xml", "--quiet", "--sum", "--",
+    "9" * 4300, "0.." + "9" * 4300, f"{'9' * 4300}*q + {'9' * 4300}*q",
 ])
 OPTIONS = st.sampled_from([
     "--genus", "--n", "--partition", "--char", "--roundtrip", "--format",

@@ -148,14 +148,13 @@ def test_str_parse_round_trip(p):
         (lambda v: tensor_irreps_character([v]), "irreducible labels"),
         (lambda v: tensor_irreps_character([3, v]), "irreducible labels"),
         (lambda v: next(partitions(v)), "n"),
-        (lambda v: next(partitions(4, v)), "max_part"),
         (build_cohomology_module, "projective space dimension"),
         (lambda v: RatMatrix(v, 2), "nrows"),
         (lambda v: RatMatrix(2, v), "ncols"),
         (lambda v: RatMatrix(2, 2, {(v, 0): 1}), "matrix indices"),
     ],
-    ids=["irrep", "tensor", "tensor-second", "partitions", "max-part", "module",
-         "nrows", "ncols", "index"],
+    ids=["irrep", "tensor", "tensor-second", "partitions", "module", "nrows",
+         "ncols", "index"],
 )
 def test_int_arguments_refuse_bool_and_float(call, what, bad):
     # True == 1 and 2.0 == 2, so unchecked each would pass as an int

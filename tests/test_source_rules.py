@@ -4,7 +4,8 @@ its stderr, one place that returns its exit code, no sparse
 characters in the classifier, no dense character built outside sl2rep, no
 series container behind symcurve, no closed form inside the series expansion,
 no Betti number computed by the command line, one owner of the int check,
-and none of the methods deleted because only the tests read them."""
+one owner of the command line's digit rule, and none of the methods deleted
+because only the tests read them."""
 
 import ast
 from pathlib import Path
@@ -662,6 +663,65 @@ def test_only_exactalg_checks_ints(path):
 )
 def test_rule_detects_int_checks(source, flagged):
     assert bool(int_checks(ast.parse(source))) is flagged
+
+
+def powers_of_ten(tree):
+    """Line numbers of ``10 ** x`` and ``pow(10, ...)`` outside ``_over_digits``.
+
+    The command line sizes what it prints by digits, and ``_over_digits``
+    alone decides whether a number has more digits than a limit; a second
+    power of ten would be a second copy of that rule.
+    """
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "_over_digits":
+            inside.update(map(id, ast.walk(node)))
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            base = node.left
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "pow":
+            base = node.args[0] if node.args else None
+        else:
+            continue
+        if isinstance(base, ast.Constant) and base.value == 10:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_the_digit_helper_forms_a_power_of_ten():
+    path = Path(multiproj.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert powers_of_ten(tree) == []
+
+
+DIGITS = (
+    "def _over_digits(v, digits):\n"
+    "    return v.bit_length() > 3 * digits and v >= 10**digits\n"
+)
+
+
+@pytest.mark.parametrize(
+    "source,flagged",
+    [
+        (DIGITS, False),
+        (DIGITS + "x = 10**d\n", True),
+        (DIGITS + "def f(n):\n    return n >= 10 ** 4000\n", True),
+        (DIGITS + "x = pow(10, d)\n", True),
+        (DIGITS + "def _shown(v):\n    return v if v < 10**d else 'over'\n", True),
+        (DIGITS + "shown = f'over 10^{d}'\n", False),
+        (DIGITS + "x = 2 ** d\n", False),
+        (DIGITS + "x = d ** 10\n", False),
+        (DIGITS + "x = pow(d, 10)\n", False),
+        (DIGITS + "x = 10 * d\n", False),
+    ],
+    ids=["helper-only", "power", "comparison", "pow-call", "display", "text",
+         "other-base", "exponent-ten", "pow-exponent", "product"],
+)
+def test_rule_detects_powers_of_ten(source, flagged):
+    assert bool(powers_of_ten(ast.parse(source))) is flagged
 
 
 # Methods that nothing in the package, its command line or its benchmark
