@@ -54,9 +54,9 @@ import json
 import sys
 from dataclasses import asdict
 from functools import reduce
-from itertools import islice
+from itertools import chain, islice
 from math import comb, prod
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .classifier import Partition, classify, cohomology_character, parse_partition
 from .exactalg import LaurentPoly
@@ -109,12 +109,14 @@ def _parse_range(text: str, what: str, minimum: int) -> range:
     return range(lo, hi + 1)
 
 
-def _emit(args: argparse.Namespace, doc, rows: list[dict], text: str) -> None:
+def _emit(args: argparse.Namespace, doc, rows: Iterable, text: str | None = None) -> None:
     """Write a command's result to stdout: ``doc``, ``rows`` or ``text``.
 
     JSON is ``doc``, written 4096 encoder pieces at a time, never as one
     string; CSV is ``rows`` under a header of the first row's keys, with
-    ``None`` written as empty; the table format is ``text``.
+    ``None`` written as empty; the table format is ``text``, or without it
+    ``rows`` padded into columns under their keys.  ``rows`` may be any
+    iterable, read only by CSV and the table format.
     """
     if args.quiet:
         return
@@ -124,10 +126,18 @@ def _emit(args: argparse.Namespace, doc, rows: list[dict], text: str) -> None:
             sys.stdout.write(batch)
         sys.stdout.write("\n")
     elif args.format == "csv":
-        writer = csv.DictWriter(sys.stdout, list(rows[0]), lineterminator="\n")
+        first = next(rows := iter(rows))
+        writer = csv.DictWriter(sys.stdout, list(first), lineterminator="\n")
         writer.writeheader()
-        writer.writerows(rows)
+        writer.writerows(chain([first], rows))
     else:
+        if text is None:
+            rows = list(rows)
+            cells = [list(rows[0]), *([str(v) for v in row.values()] for row in rows)]
+            widths = [max(map(len, column)) for column in zip(*cells)]
+            text = "\n".join(
+                "  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() for line in cells
+            )
         sys.stdout.write(text + "\n")
 
 
@@ -378,19 +388,13 @@ def _cmd_table(args: argparse.Namespace) -> None:
                 {
                     "g": g,
                     "n": pp.n,
-                    "betti": list(pp.betti),
+                    "betti": pp.betti,
                     "total_dim": dims.total_dim,
                     "sym_dim": dims.sym_dim,
                     "relation": dims.relation.value,
                 }
             )
-    rows = [{**cell, "betti": ",".join(map(str, cell["betti"]))} for cell in doc]
-    cells = [list(rows[0]), *([str(v) for v in row.values()] for row in rows)]
-    widths = [max(map(len, column)) for column in zip(*cells)]
-    text = "\n".join(
-        "  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() for line in cells
-    )
-    _emit(args, doc, rows, text)
+    _emit(args, doc, ({**c, "betti": ",".join(map(str, c["betti"]))} for c in doc))
 
 
 # ------------------------------------------------------------------ parser

@@ -53,16 +53,14 @@ class PoincarePolynomial:
             raise ValueError(
                 f"need 2n+1 = {2 * self.n + 1} Betti numbers, got {len(self.betti)}"
             )
-        if any(b < 0 for b in self.betti):
+        if min(self.betti) < 0:
             raise ValueError("Betti numbers must be nonnegative")
         if self.betti[0] != 1:
             raise ValueError(f"B_0 must be 1 (connected space), got {self.betti[0]}")
-        for r, b in enumerate(self.betti):
-            if b != self.betti[2 * self.n - r]:
-                raise ValueError(
-                    f"duality violated: B_{r} = {b} but "
-                    f"B_{2 * self.n - r} = {self.betti[2 * self.n - r]}"
-                )
+        b, m = self.betti, 2 * self.n
+        if b != b[::-1]:
+            r = next(r for r in count() if b[r] != b[m - r])
+            raise ValueError(f"duality violated: B_{r} = {b[r]} but B_{m - r} = {b[m - r]}")
 
     def total(self) -> int:
         """Total dimension of cohomology (sum of all Betti numbers)."""
@@ -195,9 +193,7 @@ def _genus_zero(n: int) -> PoincarePolynomial:
     """``poincare_genus_zero`` for an int n."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    return PoincarePolynomial(
-        betti=tuple(1 - r % 2 for r in range(2 * n + 1)), n=n
-    )
+    return PoincarePolynomial(betti=(1, 0) * n + (1,), n=n)
 
 
 def poincare_genus_zero(n: int) -> PoincarePolynomial:
@@ -216,8 +212,12 @@ def poincare_polynomial(g: int, n: int) -> PoincarePolynomial:
 
 
 def _total_dim(g: int, n: int) -> int:
-    """``total_dim_cohomology`` for a checked (g, n)."""
-    return sum(binom(2 * g, i) * (n + 1 - i) for i in range(min(n, 2 * g) + 1))
+    """``total_dim_cohomology`` for a checked (g, n), each C(2g, i) from the last."""
+    total, c = 0, 1
+    for i in range(min(n, 2 * g) + 1):
+        total += c * (n + 1 - i)
+        c = c * (2 * g - i) // (i + 1)
+    return total
 
 
 def total_dim_cohomology(g: int, n: int) -> int:

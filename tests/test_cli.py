@@ -8,6 +8,7 @@ tests that every error is one line returned by ``main``, never a
 ``SystemExit``.
 """
 
+import argparse
 import io
 import json
 import math
@@ -273,6 +274,52 @@ def test_json_output_is_streamed(monkeypatch):
     assert json_peak <= 1.5 * quiet_peak, (json_peak, quiet_peak)
 
 
+EMIT_ROWS = [
+    {"g": 0, "n": 1, "betti": "1,0,1"},
+    {"g": 10, "n": 2, "betti": "1,20,191,20,1"},
+]
+
+
+def emitted(fmt, quiet, rows, text=None):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli._emit(argparse.Namespace(format=fmt, quiet=quiet), {"doc": 1}, rows, text)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "fmt,quiet,text,read",
+    [
+        ("json", False, None, False),
+        ("json", True, None, False),
+        ("csv", True, None, False),
+        ("table", True, None, False),
+        ("table", False, "given", False),
+        ("csv", False, None, True),
+        ("table", False, None, True),
+    ],
+    ids=["json", "json-quiet", "csv-quiet", "table-quiet", "table-text", "csv",
+         "table-padded"],
+)
+def test_emit_reads_rows_only_for_the_format_it_writes(fmt, quiet, text, read):
+    reads = []
+
+    def rows():
+        reads.append(True)
+        yield from EMIT_ROWS
+
+    assert emitted(fmt, quiet, rows(), text) == emitted(fmt, quiet, EMIT_ROWS, text)
+    assert bool(reads) is read
+
+
+def test_emit_pads_rows_under_their_keys():
+    assert emitted("table", False, iter(EMIT_ROWS)) == (
+        "g   n  betti\n"
+        "0   1  1,0,1\n"
+        "10  2  1,20,191,20,1\n"
+    )
+
+
 class TestGlobalFlags:
     def test_quiet_suppresses_stdout(self):
         r = run("classify", "2,1", "1,1,1", "--quiet")
@@ -325,6 +372,13 @@ class TestGlobalFlags:
         ),
         (("table", "--genus", "0..9999", "--n", "1", "--quiet"), 0, None),
         (("classify", "5000", "1"), 0, "reason: DIMENSION_MISMATCH"),
+        # the widest table the row-digit limit admits at n = 2000
+        (("table", "--genus", "0..3", "--n", "1..2000", "--quiet"), 0, None),
+        (
+            ("dims", "--genus", "3500", "--n", "5000"),
+            0,
+            f"{total_dim_cohomology(3500, 5000)},{math.comb(12001, 5000)},STRICTLY_LESS",
+        ),
     ],
 )
 def test_large_input_finishes(args, code, line):

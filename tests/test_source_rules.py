@@ -1,11 +1,12 @@
 """Rules on the package source: no cache that grows without bound, no floats,
-no whole-matrix products, one writer of the command line's stdout and one of
-its stderr, one place that returns its exit code, no sparse
-characters in the classifier, no dense character built outside sl2rep, no
-series container behind symcurve, no closed form inside the series expansion,
-no Betti number computed by the command line, one owner of the int check,
-one owner of the command line's digit rule, and none of the methods deleted
-because only the tests read them."""
+no whole-matrix products, one writer of the command line's stdout, one
+padder of its table columns, one writer of its stderr, one place that
+returns its exit code, no sparse characters in the classifier, no dense
+character built outside sl2rep, no series container behind symcurve, no
+closed form inside the series expansion, no Betti number computed by the
+command line, one owner of the int check, one owner of the command line's
+digit rule, and none of the methods deleted because only the tests read
+them."""
 
 import ast
 from pathlib import Path
@@ -235,6 +236,58 @@ def test_rule_detects_output_outside_emit(source, flagged):
 def test_json_dump_caught_only_by_its_own_pair():
     tree = ast.parse(EMIT + "def f(doc, out):\n    json.dump(doc, out)\n")
     assert output_outside_emit(tree, STDOUT_NAMES - {("json", "dump")}) == []
+
+
+PADDING = {"ljust", "rjust", "center"}
+
+
+def padding_outside_emit(tree):
+    """Line numbers of ``.ljust``, ``.rjust`` and ``.center`` calls outside ``_emit``.
+
+    ``_emit`` alone pads rows into the table format's columns; a command that
+    pads its own text builds a second layout, and builds it even when
+    ``--quiet`` or another format drops it.
+    """
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "_emit":
+            inside.update(map(id, ast.walk(node)))
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in inside
+        and isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in PADDING
+    ]
+
+
+def test_only_emit_pads_columns():
+    path = Path(multiproj.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert padding_outside_emit(tree) == []
+
+
+PAD = (
+    "def _emit(args, doc, rows, text=None):\n"
+    "    text = '\\n'.join('  '.join(c.ljust(w) for c in r) for r in rows)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "source,flagged",
+    [
+        (PAD, False),
+        (PAD + "def f(c, w):\n    return c.ljust(w)\n", True),
+        (PAD + "text = name.rjust(8)\n", True),
+        (PAD + "def f(c):\n    return str(c).center(9, '-')\n", True),
+        (PAD + "def f(c):\n    return c.strip().ljust\n", False),
+        (PAD + "def f(line):\n    return line.rstrip()\n", False),
+    ],
+    ids=["emit-only", "ljust", "rjust", "center", "uncalled", "rstrip"],
+)
+def test_rule_detects_padding_outside_emit(source, flagged):
+    assert bool(padding_outside_emit(ast.parse(source))) is flagged
 
 
 def stderr_outside_main(tree):

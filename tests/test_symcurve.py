@@ -6,6 +6,7 @@ from operator import add
 import pytest
 
 from multiproj import cli, symcurve
+from multiproj.exactalg import binom
 from multiproj.symcurve import (
     DimRelation,
     PoincarePolynomial,
@@ -34,6 +35,17 @@ class TestPoincarePolynomial:
     def test_validates_b0(self):
         with pytest.raises(ValueError):
             PoincarePolynomial(betti=(2, 0, 2), n=1)
+
+    def test_duality_message_names_the_first_pair(self):
+        # B_0 and B_4 agree; B_1 = 2 against B_3 = 1 is the first mismatch
+        with pytest.raises(ValueError) as info:
+            PoincarePolynomial(betti=(1, 2, 3, 1, 1), n=2)
+        assert str(info.value) == "duality violated: B_1 = 2 but B_3 = 1"
+
+    def test_nonnegativity_checked_before_b0_and_duality(self):
+        with pytest.raises(ValueError) as info:
+            PoincarePolynomial(betti=(2, -1, 3), n=1)
+        assert str(info.value) == "Betti numbers must be nonnegative"
 
     def test_str(self):
         assert str(PoincarePolynomial(betti=(1, 2, 2, 2, 1), n=2)) == (
@@ -253,7 +265,17 @@ class TestGenusZero:
         assert poincare_genus_zero(n).total() == n + 1
 
 
+def total_dim_by_binom(g, n):
+    """The dimension formula with each binomial from scratch: the oracle."""
+    return sum(binom(2 * g, i) * (n + 1 - i) for i in range(min(n, 2 * g) + 1))
+
+
 class TestDimensions:
+    def test_total_dim_matches_binomial_sum(self):
+        pairs = [(g, n) for g in range(41) for n in range(1, 121)] + [(300, 500)]
+        for g, n in pairs:
+            assert total_dim_cohomology(g, n) == total_dim_by_binom(g, n), (g, n)
+
     @pytest.mark.parametrize(
         "g,n,expected",
         [(1, 2, 8), (2, 5, 64), (0, 3, 4), (0, 9, 10), (2, 3, 32), (1, 3, 12)],
