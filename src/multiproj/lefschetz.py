@@ -112,16 +112,21 @@ class RatMatrix:
 def _reduce_row(by_lead: dict[int, dict[int, int]], row: dict[int, int]) -> None:
     """Reduce one row (column -> nonzero int, the caller's own copy) in place.
 
-    Leading column first, row := (a*row - b*pivot_row) / content, with a, b
-    the two leading entries over their gcd; a nonzero remainder is a pivot row.
+    Leading column first, row := a*row - b*pivot_row, with a, b the two
+    leading entries over their gcd; a nonzero remainder, divided by its
+    content, is a pivot row.  The content is divided out only there: a row
+    scaled by c > 0 scales every later step by a positive factor, so the same
+    leads come up and the pivot rows are the same primitive rows.
     """
+    get = row.get
     while row:
-        g = math.gcd(*row.values())
-        if g > 1:
-            row = {c: v // g for c, v in row.items()}
         lead = min(row)
         pivot_row = by_lead.get(lead)
         if pivot_row is None:
+            g = math.gcd(*row.values())
+            if g > 1:
+                for c in row:
+                    row[c] //= g
             by_lead[lead] = row
             return
         g = math.gcd(pivot_row[lead], row[lead])
@@ -130,7 +135,7 @@ def _reduce_row(by_lead: dict[int, dict[int, int]], row: dict[int, int]) -> None
             for c in row:
                 row[c] *= a
         for c, v in pivot_row.items():
-            s = row.get(c, 0) - b * v
+            s = get(c, 0) - b * v
             if s:
                 row[c] = s
             else:
@@ -227,28 +232,38 @@ class BracketReport:
 def verify_brackets(m: Sl2MatrixModule) -> BracketReport:
     """Check [X,Y]=H, [H,X]=2X, [H,Y]=-2Y as exact matrix identities.
 
-    Each check reports the numerator of its largest |entry| of lhs - rhs, from
-    one visit to each row.  Row i of XY - YX - H is X's row i times Y's rows,
-    minus Y's row i times X's rows, minus H_ii at column i.  H is
-    diag(basis_weights), so row i of [H,X] - 2X is (w_i - w_k - 2) X_ik, and
-    that of [H,Y] + 2Y is (w_i - w_k + 2) Y_ik.
+    Each check reports the numerator of its largest |entry| of lhs - rhs, one
+    row at a time.  Row i of XY - YX - H is X's row i times Y's rows, minus
+    Y's row i times X's rows, minus H_ii at column i, summed into one dense
+    accumulator that is reused for every row: the same X and Y entries are
+    walked again to read its largest |entry| and reset the touched slots to
+    0.  H is diag(basis_weights), so row i of [H,X] - 2X is
+    (w_i - w_k - 2) X_ik, and that of [H,Y] + 2Y is (w_i - w_k + 2) Y_ik.
     """
     w = m.basis_weights
     x_rows, y_rows = m.X._rows, m.Y._rows
     xy = hx = hy = 0
-    for i in range(m.dim):
-        row = {i: -w[i]}
-        for k, a in x_rows[i].items():
+    acc = [0] * m.dim
+    for i, (x_row, y_row) in enumerate(zip(x_rows, y_rows)):
+        acc[i] = -w[i]
+        for k, a in x_row.items():
             if w[i] - w[k] != 2:
                 hx = max(hx, abs((w[i] - w[k] - 2) * a))
             for j, b in y_rows[k].items():
-                row[j] = row.get(j, 0) + a * b
-        for k, a in y_rows[i].items():
+                acc[j] += a * b
+        for k, a in y_row.items():
             if w[i] - w[k] != -2:
                 hy = max(hy, abs((w[i] - w[k] + 2) * a))
             for j, b in x_rows[k].items():
-                row[j] = row.get(j, 0) - a * b
-        xy = max(xy, *map(abs, row.values()))
+                acc[j] -= a * b
+        xy = max(xy, abs(acc[i]))
+        acc[i] = 0
+        for row, ops in ((x_row, y_rows), (y_row, x_rows)):
+            for k in row:
+                for j in ops[k]:
+                    if acc[j]:
+                        xy = max(xy, abs(acc[j]))
+                        acc[j] = 0
     gaps = (("XY-YX=H", xy), ("HX-XH=2X", hx), ("HY-YH=-2Y", hy))
     return BracketReport(
         tuple(RelationCheck(name, gap == 0, gap.numerator) for name, gap in gaps)
@@ -271,19 +286,22 @@ def tensor_modules(a: Sl2MatrixModule, b: Sl2MatrixModule) -> Sl2MatrixModule:
 def _leibniz(p: RatMatrix, q: RatMatrix) -> RatMatrix:
     """p (x) 1 + 1 (x) q for square p and q, one row at a time.
 
-    Row (i, k) is p's row i at columns j * dim_q + k together with q's row k
-    at columns i * dim_q + l.  The two parts never share a column, since that
-    needs j = i: X and Y shift the weight by 2, so they have no diagonal
-    entries (Sl2MatrixModule enforces it).
+    Row (i, k) is p's row i at columns j * dim_q + k, then q's row k written
+    into it at columns i * dim_q + l; q's rows are read as item tuples once.
+    The two parts never share a column, since that needs j = i: X and Y shift
+    the weight by 2, so they have no diagonal entries (Sl2MatrixModule
+    enforces it).
     """
     dq = q.nrows
+    q_items = [tuple(q_row.items()) for q_row in q._rows]
     rows = []
     for i, p_row in enumerate(p._rows):
         strided = [(j * dq, v) for j, v in p_row.items()]
         base = i * dq
-        for k, q_row in enumerate(q._rows):
+        for k, items in enumerate(q_items):
             row = {j + k: v for j, v in strided}
-            row.update({base + l: v for l, v in q_row.items()})
+            for l, v in items:
+                row[base + l] = v
             rows.append(row)
     return RatMatrix._from_rows(p.ncols * dq, rows)
 

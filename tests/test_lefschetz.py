@@ -157,21 +157,54 @@ def with_x(m, factor):
     return dataclasses.replace(m, X=RatMatrix(m.dim, m.dim, x))
 
 
-def sparse_echelon(rows):
-    """Pivot columns and echelon rows of sparse integer rows, by _reduce_row.
+def sparse_echelon(rows, reduce_row=_reduce_row):
+    """Pivot columns and echelon rows of sparse integer rows, by reduce_row.
 
     Each row is reduced on a copy without zeros; the echelon rows have the
     input's kernel, and the rank is the number of pivots.
     """
     by_lead = {}
     for row in rows:
-        _reduce_row(by_lead, {c: v for c, v in row.items() if v})
+        reduce_row(by_lead, {c: v for c, v in row.items() if v})
     pivots = sorted(by_lead)
     return pivots, [by_lead[c] for c in pivots]
 
 
+def checked_pivots(rows):
+    """Pivot columns of rows; _reduce_row's echelon must be the oracle's."""
+    pivots, echelon = sparse_echelon(rows)
+    assert (pivots, echelon) == sparse_echelon(rows, reduce_row_each_step)
+    assert all(math.gcd(*row.values()) == 1 for row in echelon)
+    return pivots
+
+
 # The eliminators the package used before sparse primitive-row elimination
-# replaced them; they serve as oracles for rank and kernel.
+# replaced them, and the elimination step as it was before the content was
+# cleared only at a new pivot; they serve as oracles for rank and kernel.
+
+
+def reduce_row_each_step(by_lead, row):
+    """_reduce_row dividing the row by its content at every step."""
+    while row:
+        g = math.gcd(*row.values())
+        if g > 1:
+            row = {c: v // g for c, v in row.items()}
+        lead = min(row)
+        pivot_row = by_lead.get(lead)
+        if pivot_row is None:
+            by_lead[lead] = row
+            return
+        g = math.gcd(pivot_row[lead], row[lead])
+        a, b = pivot_row[lead] // g, row[lead] // g
+        if a != 1:
+            for c in row:
+                row[c] *= a
+        for c, v in pivot_row.items():
+            s = row.get(c, 0) - b * v
+            if s:
+                row[c] = s
+            else:
+                del row[c]
 
 
 def dense_echelon(
@@ -672,7 +705,7 @@ class TestEliminator:
         for _ in range(3000):
             nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
             rows = random_integer_rows(rng, nrows, ncols)
-            pivots, _ = sparse_echelon([dict(enumerate(r)) for r in rows])
+            pivots = checked_pivots([dict(enumerate(r)) for r in rows])
             rank = _rank(rows, ncols)
             assert len(pivots) == rank == len(dense_echelon(rows, ncols)[0])
             deficient += rank < min(nrows, ncols)
@@ -681,12 +714,18 @@ class TestEliminator:
         assert deficient > 500  # zero and dependent rows really occur
 
     def test_agrees_on_module_blocks(self):
-        # every X weight block of the tensor modules with 3-4 factors, parts 2..4
+        # every X weight block of the tensor modules with 3-4 factors, parts 2..4;
+        # the oracle step eliminates each whole block, rows keyed as in the scan
         blocks = 0
         for parts in [t for r in (3, 4) for t in product(range(2, 5), repeat=r)]:
             m = tensor_of(parts)
-            scan = dict(_x_kernel_dims(m, _weight_indices(m)))
+            spaces = _weight_indices(m)
+            scan = dict(_x_kernel_dims(m, spaces))
             assert scan == dense_kernel_dims(m)
+            for w, cols in spaces.items():
+                rows = spaces.get(w + 2, ())
+                block = [{-j: v for j, v in m.X._rows[r].items()} for r in rows]
+                assert len(cols) - len(checked_pivots(block)) == scan[w]
             blocks += len(scan)
         assert blocks > 1000
 
@@ -787,14 +826,17 @@ class TestEliminator:
         assert not [f for f in called if f[2] == "row_items"]
 
     def test_full_rank_stop_skips_rows(self):
-        # the stop leaves 129 of X's 1295 nonzero rows unreduced on (5,5,5,5)
+        # the stop leaves 129 of X's 1295 nonzero rows unreduced on (5,5,5,5);
+        # math.gcd runs once per elimination step and once per new pivot
         m = tensor_of((5, 5, 5, 5))
         profile = cProfile.Profile()
         profile.runcall(highest_weight_multiplicities, m)
         called = pstats.Stats(profile).stats
         steps = [v[1] for f, v in called.items() if f[2] == "_reduce_row"]
+        gcds = [v[1] for f, v in called.items() if f[2].endswith("math.gcd>")]
         assert sum(1 for i in range(m.dim) if m.X.row_items(i)) == 1295
         assert steps == [1166]
+        assert gcds == [3545 + 1150]
 
     def test_integer_modules_create_no_fraction(self):
         m = tensor_of((3, 2, 1))
