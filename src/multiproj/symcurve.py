@@ -7,8 +7,8 @@ returned for g >= 1 is checked against the other and the dimension formula:
   r > n by Poincare duality B_r = B_{2n-r};
 * the generating series (1 + tx)^{2g} / ((1 - t)(1 - tx^2)) of Macdonald,
   whose t^n coefficient, for every n up to one expansion's cap, is the
-  Poincare polynomial of Sym^n(C); the numerator's binomial terms are written
-  into one table and divided in place, O(n^2) cells whatever g is.
+  Poincare polynomial of Sym^n(C); both divisions run row by row, holding
+  only the previous row of each quotient: O(n^2) cell steps, O(n) memory.
 
 Genus 0 is special: Sym^n(P^1) = P^n, so its Betti numbers come from the
 projective-space rule (1 in each even degree) rather than the series, which is
@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import chain, count, islice
 from operator import add
+from typing import Iterator
 
 from .exactalg import _require_int, binom
 
@@ -139,43 +140,41 @@ def betti_closed(g: int, n: int, r: int) -> int:
     return _closed_half(g, min(r, 2 * n - r))[-1]
 
 
-def _series_rows(g: int, n: int) -> list[list[int]]:
+def _series_rows(g: int, n: int) -> Iterator[list[int]]:
     """The t^0..t^n coefficients of (1 + tx)^{2g} / ((1 - t)(1 - tx^2)), dense in x.
 
-    One table: rows[k] is the x-polynomial at t^k, of length 2k + 1.  The
-    numerator to t^n is written in as binomial terms C(2g, i) t^i x^i, i <= n,
-    by the exact ratio C(2g, i) = C(2g, i - 1) * (2g - i + 1) / i.  Dividing by
-    (1 - t), then by (1 - tx^2), is s_k += s_{k-1}, then s_k += x^2 * s_{k-1},
-    for k ascending: two passes, O(n^2) cells whatever g is.
+    Yields a new list per t^k, of length 2k + 1.  The numerator's term at t^k
+    is C(2g, k) x^k, by the exact ratio C(2g, k) = C(2g, k - 1) * (2g - k + 1) / k.
+    Dividing by (1 - t) is s_k = C(2g, k) x^k + s_{k-1}, so s_k lists the
+    terms up to k; dividing by (1 - tx^2) is r_k = s_k + x^2 * r_{k-1}, whose
+    degrees above k are r_{k-1}'s from k - 1 on.  Only s_{k-1} and r_{k-1}
+    are held: O(n) cells at a time whatever g is.
     """
-    rows = [[0] * (2 * k + 1) for k in range(n + 1)]
-    c = 1
-    for i in range(min(n, 2 * g) + 1):
-        rows[i][i] = c
-        c = c * (2 * g - i) // (i + 1)
-    for shift in (0, 2):
-        for k in range(1, n + 1):
-            prev, row = rows[k - 1], rows[k]
-            end = shift + len(prev)
-            row[shift:end] = map(add, row[shift:end], prev)
-    return rows
+    s, r, c = [], [], 1
+    for k in range(n + 1):
+        s.append(c)
+        c = c * (2 * g - k) // (k + 1)
+        r = [*map(add, s, [0, 0, *r]), *r[k - 1 :]]  # r_{-1} = [], so r_0 = s_0
+        yield r
 
 
-def _poincare_rows(g: int, ns: range) -> list[PoincarePolynomial]:
+def _poincare_rows(g: int, ns: range) -> Iterator[PoincarePolynomial]:
     """``poincare_polynomial(g, n)`` for each n in ``ns``, from one expansion.
 
-    Callers validate g and ``ns``.  For g >= 1 each row must equal the closed
-    form and sum to ``total_dim_cohomology``, or a RuntimeError says so.
+    Callers validate g and pass a nonempty step-1 ``ns``.  For g >= 1 each row
+    is checked as it is read: it must equal the closed form and sum to
+    ``total_dim_cohomology``, or a RuntimeError says so.
     """
     if g == 0:
-        return [_genus_zero(n) for n in ns]
-    rows, half = _series_rows(g, max(ns)), _closed_half(g, max(ns))
-    for n in ns:
-        if rows[n] != half[: n + 1] + half[n - 1 :: -1]:
+        yield from map(_genus_zero, ns)
+        return
+    half = _closed_half(g, ns[-1])
+    for n, row in zip(ns, islice(_series_rows(g, ns[-1]), ns[0], None)):
+        if row != half[: n + 1] + half[n - 1 :: -1]:
             raise RuntimeError(f"series/closed-form disagreement at g={g}, n={n}")
-        if sum(rows[n]) != _total_dim(g, n):
+        if sum(row) != _total_dim(g, n):
             raise RuntimeError(f"Betti sum != dimension formula at g={g}, n={n}")
-    return [PoincarePolynomial(betti=tuple(rows[n]), n=n) for n in ns]
+        yield PoincarePolynomial(betti=row, n=n)
 
 
 def poincare_via_series(g: int, n: int) -> PoincarePolynomial:
@@ -186,7 +185,7 @@ def poincare_via_series(g: int, n: int) -> PoincarePolynomial:
     """
     _check(g, n, "the generating series is stated for genus >= 1; "
            "use poincare_genus_zero")
-    return _poincare_rows(g, range(n, n + 1))[0]
+    return next(_poincare_rows(g, range(n, n + 1)))
 
 
 def _genus_zero(n: int) -> PoincarePolynomial:
@@ -208,7 +207,7 @@ def poincare_polynomial(g: int, n: int) -> PoincarePolynomial:
     if g == 0:
         return _genus_zero(n)
     _check_values(g, n)
-    return _poincare_rows(g, range(n, n + 1))[0]
+    return next(_poincare_rows(g, range(n, n + 1)))
 
 
 def _total_dim(g: int, n: int) -> int:

@@ -503,7 +503,7 @@ def exactalg_beyond_binom(tree):
     """Line numbers that reach ``exactalg`` for anything but ``binom`` and the
     int check ``_require_int``.
 
-    ``symcurve`` expands its series in place on a table of ints; a series
+    ``symcurve`` expands its series one row of ints at a time; a series
     type from ``exactalg`` would bring the general ring back.  A type check
     is not one.
     """
