@@ -54,12 +54,12 @@ import json
 import sys
 from dataclasses import asdict
 from functools import reduce
-from itertools import chain, islice
+from itertools import chain
 from math import comb, prod
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .classifier import Partition, classify, cohomology_character, parse_partition
-from .exactalg import LaurentPoly
+from .exactalg import LaurentPoly, _all_int
 from .lefschetz import (
     build_cohomology_module,
     is_irreducible,
@@ -112,33 +112,57 @@ def _parse_range(text: str, what: str, minimum: int) -> range:
 def _emit(args: argparse.Namespace, doc, rows: Iterable, text: str | None = None) -> None:
     """Write a command's result to stdout: ``doc``, ``rows`` or ``text``.
 
-    JSON is ``doc``, written 4096 encoder pieces at a time, never as one
-    string; CSV is ``rows`` under a header of the first row's keys, with
-    ``None`` written as empty; the table format is ``text``, or without it
-    ``rows`` padded into columns under their keys.  ``rows`` may be any
-    iterable, read only by CSV and the table format.
+    JSON is ``doc`` (its keys str) as ``json.dumps(doc, indent=2)`` lays it
+    out, written a piece at a time, with any iterator in it read as a list;
+    CSV is ``rows`` under a header of the first row's keys, with ``None``
+    written as empty; the table format is ``text``, or without it ``rows``
+    padded into columns under their keys.  ``rows`` may be any iterable,
+    read only by CSV and the table format; ``--quiet`` reads ``doc`` to its
+    end and writes nothing, so a generator's checks still run.
     """
+
+    def layout(o, pad):
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if isinstance(o, (list, tuple)) and _all_int(o):
+            yield f"[\n{inner}{sep.join(map(str, o))}\n{pad}]" if o else "[]"
+            return
+        if isinstance(o, dict):
+            items, ends = ((json.dumps(k) + ": ", v) for k, v in o.items()), "{}"
+        elif isinstance(o, (list, tuple, Iterator)):
+            items, ends = (("", v) for v in o), "[]"
+        else:
+            yield json.dumps(o)
+            return
+        opening = ends[0] + "\n" + inner
+        for key, v in items:
+            yield opening + key
+            yield from layout(v, inner)
+            opening = sep
+        yield "\n" + pad + ends[1] if opening == sep else ends
+
     if args.quiet:
-        return
-    if args.format == "json":
-        chunks = json.JSONEncoder(indent=2).iterencode(doc)
-        while batch := "".join(islice(chunks, 4096)):
-            sys.stdout.write(batch)
+        for _ in doc:
+            pass
+    elif args.format == "json":
+        sys.stdout.writelines(layout(doc, ""))
         sys.stdout.write("\n")
-    elif args.format == "csv":
-        first = next(rows := iter(rows))
-        writer = csv.DictWriter(sys.stdout, list(first), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(chain([first], rows))
-    else:
-        if text is None:
-            rows = list(rows)
-            cells = [list(rows[0]), *([str(v) for v in row.values()] for row in rows)]
-            widths = [max(map(len, column)) for column in zip(*cells)]
-            text = "\n".join(
-                "  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() for line in cells
-            )
+    elif args.format == "table" and text is not None:
         sys.stdout.write(text + "\n")
+    else:
+        first = next(rows := iter(rows))
+        rows = chain([first], rows)
+        if args.format == "csv":
+            writer = csv.DictWriter(sys.stdout, list(first), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        else:  # the column widths need every cell before the first line
+            cells = [list(first), *([str(v) for v in row.values()] for row in rows)]
+            widths = [max(map(len, column)) for column in zip(*cells)]
+            sys.stdout.writelines(
+                "  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() + "\n"
+                for line in cells
+            )
 
 
 def _partition(text: str) -> Partition:
@@ -380,21 +404,17 @@ def _cmd_table(args: argparse.Namespace) -> None:
             f"{_TABLE_CELL_LIMIT}-cell guard"
         )
     _check_size(g_range[-1], n_range[-1], row=True)  # the largest cell
-    doc = []
-    for g in g_range:
-        for pp in _poincare_rows(g, n_range):  # one series expansion per genus
-            dims = _compare(g, pp.n, pp.total())  # the sum _poincare_rows checked
-            doc.append(
-                {
-                    "g": g,
-                    "n": pp.n,
-                    "betti": pp.betti,
-                    "total_dim": dims.total_dim,
-                    "sym_dim": dims.sym_dim,
-                    "relation": dims.relation.value,
-                }
-            )
-    _emit(args, doc, ({**c, "betti": ",".join(map(str, c["betti"]))} for c in doc))
+
+    def cells():
+        for g in g_range:
+            for pp in _poincare_rows(g, n_range):  # one series expansion per genus
+                dims = _compare(g, pp.n, pp.total())  # the sum _poincare_rows checked
+                yield {"g": g, "n": pp.n, "betti": pp.betti, "total_dim": dims.total_dim,
+                       "sym_dim": dims.sym_dim, "relation": dims.relation.value}
+
+    # each generator computes the table as it is read, and _emit reads one
+    rows = ({**c, "betti": ",".join(map(str, c["betti"]))} for c in cells())
+    _emit(args, cells(), rows)
 
 
 # ------------------------------------------------------------------ parser

@@ -29,6 +29,11 @@ def _is_int(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _all_int(values: Collection[object]) -> bool:
+    """Whether every one of ``values`` is an int; all exactly ``int`` is one look at types."""
+    return set(map(type, values)) <= {int} or all(map(_is_int, values))
+
+
 def _require_int(what: str | Iterable[str], values: Collection[object]) -> None:
     """Refuse the first of ``values`` that is not an int; a bool is not taken for one.
 
@@ -37,7 +42,7 @@ def _require_int(what: str | Iterable[str], values: Collection[object]) -> None:
     value is refused.  Values that are all exactly ``int`` pass after one look
     at their types.
     """
-    if set(map(type, values)) <= {int}:
+    if _all_int(values):
         return
     for name, v in zip(repeat(what) if isinstance(what, str) else what, values):
         if not _is_int(v):

@@ -9,6 +9,7 @@ tests that every error is one line returned by ``main``, never a
 """
 
 import argparse
+import hashlib
 import io
 import json
 import math
@@ -265,51 +266,122 @@ def _traced_peak(monkeypatch, argv):
             tracemalloc.stop()
 
 
-def test_json_output_is_streamed(monkeypatch):
-    # the document is never held as one string: printing it costs about
-    # what building the rows does, which --quiet measures alone
-    argv = ["table", "--genus", "1..2", "--n", "1..300", "--format", "json"]
-    json_peak = _traced_peak(monkeypatch, argv)
-    quiet_peak = _traced_peak(monkeypatch, [*argv, "--quiet"])
-    assert json_peak <= 1.5 * quiet_peak, (json_peak, quiet_peak)
+# No format holds the whole table: --quiet, JSON and CSV hold one cell at a
+# time, and the table format only the unpadded cells its column widths need.
+@pytest.mark.parametrize(
+    "flags,bound",
+    [
+        (["--quiet"], 1_000_000),
+        (["--format", "json"], 1_000_000),
+        (["--format", "csv"], 1_000_000),
+        (["--format", "table"], 5_000_000),
+    ],
+    ids=["quiet", "json", "csv", "table"],
+)
+def test_table_memory_is_flat(monkeypatch, flags, bound):
+    argv = ["table", "--genus", "1..4", "--n", "1..300", *flags]
+    assert _traced_peak(monkeypatch, argv) <= bound
 
 
 EMIT_ROWS = [
     {"g": 0, "n": 1, "betti": "1,0,1"},
     {"g": 10, "n": 2, "betti": "1,20,191,20,1"},
 ]
+EMIT_DOC = [{"g": 0, "n": 1, "betti": (1, 0, 1)}, {"g": 10, "n": 2, "betti": []}]
 
 
-def emitted(fmt, quiet, rows, text=None):
+def emitted(fmt, quiet, rows, text=None, doc=EMIT_DOC):
     out = io.StringIO()
     with redirect_stdout(out):
-        cli._emit(argparse.Namespace(format=fmt, quiet=quiet), {"doc": 1}, rows, text)
+        cli._emit(argparse.Namespace(format=fmt, quiet=quiet), doc, rows, text)
     return out.getvalue()
 
 
 @pytest.mark.parametrize(
-    "fmt,quiet,text,read",
+    "fmt,quiet,text,read,drained",
     [
-        ("json", False, None, False),
-        ("json", True, None, False),
-        ("csv", True, None, False),
-        ("table", True, None, False),
-        ("table", False, "given", False),
-        ("csv", False, None, True),
-        ("table", False, None, True),
+        ("json", False, None, False, True),
+        ("json", True, None, False, True),
+        ("csv", True, None, False, True),
+        ("table", True, None, False, True),
+        ("table", False, "given", False, False),
+        ("csv", False, None, True, False),
+        ("table", False, None, True, False),
     ],
     ids=["json", "json-quiet", "csv-quiet", "table-quiet", "table-text", "csv",
          "table-padded"],
 )
-def test_emit_reads_rows_only_for_the_format_it_writes(fmt, quiet, text, read):
-    reads = []
+def test_emit_reads_rows_only_for_the_format_it_writes(fmt, quiet, text, read, drained):
+    # JSON writes the document, and --quiet reads it to its end, so that a
+    # command's generator still computes and checks every value it yields
+    reads, ends = [], []
 
     def rows():
         reads.append(True)
         yield from EMIT_ROWS
 
-    assert emitted(fmt, quiet, rows(), text) == emitted(fmt, quiet, EMIT_ROWS, text)
+    def doc():
+        yield from EMIT_DOC
+        ends.append(True)
+
+    assert emitted(fmt, quiet, rows(), text, doc()) == emitted(fmt, quiet, EMIT_ROWS, text)
     assert bool(reads) is read
+    assert bool(ends) is drained
+
+
+def streamed(o):
+    """``o`` with every list a generator, inside dicts and tuples too."""
+    if isinstance(o, dict):
+        return {k: streamed(v) for k, v in o.items()}
+    if isinstance(o, tuple):
+        return tuple(map(streamed, o))
+    if isinstance(o, list):
+        return (streamed(v) for v in o)
+    return o
+
+
+BIG = 10**4000 - 1  # the most digits a command prints
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-BIG, max_value=BIG),
+    st.sampled_from([BIG, -BIG]),
+    st.text(),
+    st.text(st.sampled_from('"\\\x00\x1f\n\té€😀a')),
+)
+DOCUMENTS = st.recursive(
+    SCALARS,
+    lambda children: st.one_of(
+        st.lists(children),
+        st.lists(children).map(tuple),
+        st.lists(st.one_of(st.integers(), st.booleans())),
+        st.lists(st.integers(min_value=-BIG, max_value=BIG)).map(tuple),
+        st.dictionaries(st.one_of(st.text(), st.text(st.sampled_from('"\\\x01é'))), children),
+    ),
+    max_leaves=30,
+)
+
+
+# JSONEncoder(indent=2) is the oracle of _emit's JSON layout, on each document
+# and on the same document with every list a generator.
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(doc=DOCUMENTS)
+def test_json_layout_is_the_encoders(doc):
+    expected = json.JSONEncoder(indent=2).encode(doc) + "\n"
+    assert emitted("json", False, [], doc=doc) == expected
+    assert emitted("json", False, [], doc=streamed(doc)) == expected
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{}, [], (), [{}], {"a": []}, [True, False], [1, True, -2], [[], [[]]],
+     {"k\"\\\u0007é": [BIG, -BIG]}, None, "\u2028"],
+)
+def test_json_layout_of_edge_documents(doc):
+    expected = json.JSONEncoder(indent=2).encode(doc) + "\n"
+    assert emitted("json", False, [], doc=doc) == expected
+    assert emitted("json", False, [], doc=streamed(doc)) == expected
 
 
 def test_emit_pads_rows_under_their_keys():
@@ -394,6 +466,23 @@ def test_large_input_finishes(args, code, line):
     else:
         assert line in proc.stdout.splitlines()
 
+
+# The widest table in JSON, the slowest format, also keeps the budget; its
+# 149 MB go to a file, not through the test's memory.
+def test_widest_json_table_finishes(tmp_path):
+    out = tmp_path / "table.json"
+    argv = ["table", "--genus", "0..3", "--n", "1..2000", "--format", "json"]
+    with open(out, "wb") as sink:
+        proc = subprocess.run([sys.executable, "-m", "multiproj", *argv], stdout=sink,
+                              stderr=subprocess.PIPE, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256()
+    with open(out, "rb") as f:
+        while chunk := f.read(1 << 20):
+            digest.update(chunk)
+    assert (out.stat().st_size, digest.hexdigest()) == (
+        149236715, "9f3502302f85cd6d59bc64a5ebac6c179a5f214eba713917dae4594037ae6cee"
+    )
 
 # Requests over a size limit are refused before any work is done.
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
-from multiproj.exactalg import LaurentPoly, binom
+from multiproj.exactalg import LaurentPoly, _all_int, binom
 from multiproj.lefschetz import RatMatrix, build_cohomology_module
 from multiproj.sl2rep import (
     Character,
@@ -165,3 +167,19 @@ def test_int_arguments_refuse_bool_and_float(call, what, bad):
 
 def test_checked_labels_may_come_from_an_iterator():
     assert tensor_irreps_character(iter([2, 1])) == tensor_irreps_character([2, 1])
+
+
+class Count(int):
+    pass
+
+
+# One look at the types passes values that are all exactly int; any other
+# type, an int subclass included, is judged value by value.
+@pytest.mark.parametrize(
+    "values,expected",
+    [([], True), ([1, -2, 10**50], True), ((0,), True), ([1, Count(2)], True),
+     ([1, True], False), ([False], False), ([1, Fraction(1)], False), (["1"], False)],
+    ids=["empty", "ints", "tuple", "subclass", "bool", "only-bool", "fraction", "text"],
+)
+def test_all_int_refuses_bools(values, expected):
+    assert _all_int(values) is expected

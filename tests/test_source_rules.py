@@ -172,6 +172,16 @@ def test_rule_detects_whole_matrix_products(source, flagged):
     assert bool(whole_matrix_products(ast.parse(source))) is flagged
 
 
+def nodes_inside(tree, name):
+    """Every node of each function ``name`` in ``tree``, its ``def`` included."""
+    return [
+        inner
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == name
+        for inner in ast.walk(node)
+    ]
+
+
 STDOUT_NAMES = {
     ("sys", "stdout"), ("json", "dumps"), ("json", "dump"), ("args", "format")
 }
@@ -183,10 +193,7 @@ def output_outside_emit(tree, names=STDOUT_NAMES):
     Those are ``sys.stdout``, ``json.dumps``, ``json.dump``, any ``csv.``
     name, ``print`` and ``args.format``.
     """
-    inside = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name == "_emit":
-            inside.update(map(id, ast.walk(node)))
+    inside = set(map(id, nodes_inside(tree, "_emit")))
     lines = []
     for node in ast.walk(tree):
         if id(node) in inside:
@@ -248,10 +255,7 @@ def padding_outside_emit(tree):
     pads its own text builds a second layout, and builds it even when
     ``--quiet`` or another format drops it.
     """
-    inside = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name == "_emit":
-            inside.update(map(id, ast.walk(node)))
+    inside = set(map(id, nodes_inside(tree, "_emit")))
     return [
         node.lineno
         for node in ast.walk(tree)
@@ -296,10 +300,7 @@ def stderr_outside_main(tree):
     Every failure of the command line reaches ``main`` as an exception, and
     ``main`` alone writes it, as one ``error: ...`` line.
     """
-    inside = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name == "main":
-            inside.update(map(id, ast.walk(node)))
+    inside = set(map(id, nodes_inside(tree, "main")))
     lines = []
     for node in ast.walk(tree):
         if id(node) in inside:
@@ -359,10 +360,7 @@ def exit_code_outside_main(tree):
     A handler returns nothing: it reports a failure by raising, and ``main``
     alone turns the outcome into the exit code.
     """
-    inside = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name == "main":
-            inside.update(map(id, ast.walk(node)))
+    inside = set(map(id, nodes_inside(tree, "main")))
     return [
         node.lineno
         for node in ast.walk(tree)
@@ -561,15 +559,13 @@ def closed_form_in_series(tree):
     took its coefficients from the closed form would check nothing.
     """
     lines = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name == "_series_rows":
-            for inner in ast.walk(node):
-                if isinstance(inner, ast.alias):  # an import, under any asname
-                    name = inner.name.rpartition(".")[2]
-                else:
-                    name = getattr(inner, "id", getattr(inner, "attr", None))
-                if name in CLOSED_FORM_NAMES:
-                    lines.append(inner.lineno)
+    for inner in nodes_inside(tree, "_series_rows"):
+        if isinstance(inner, ast.alias):  # an import, under any asname
+            name = inner.name.rpartition(".")[2]
+        else:
+            name = getattr(inner, "id", getattr(inner, "attr", None))
+        if name in CLOSED_FORM_NAMES:
+            lines.append(inner.lineno)
     return lines
 
 
@@ -725,10 +721,7 @@ def powers_of_ten(tree):
     alone decides whether a number has more digits than a limit; a second
     power of ten would be a second copy of that rule.
     """
-    inside = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name == "_over_digits":
-            inside.update(map(id, ast.walk(node)))
+    inside = set(map(id, nodes_inside(tree, "_over_digits")))
     lines = []
     for node in ast.walk(tree):
         if id(node) in inside:
