@@ -182,7 +182,7 @@ def _check_degree(top: int) -> None:
     """Refuse a character of top degree over the limit (2 top + 1 dense coefficients)."""
     if top > _CHARACTER_DEGREE_LIMIT:
         raise _UsageError(
-            f"character of top degree {top} exceeds the "
+            f"character of top degree {_shown(top)} exceeds the "
             f"{_CHARACTER_DEGREE_LIMIT}-degree limit"
         )
 
@@ -222,12 +222,13 @@ def _check_size(g: int, n: int, row: bool) -> None:
         raise _UsageError(f"genus must be >= 0, got {g}")
     if row and 2 * n + 1 > _ROW_LIMIT:
         raise _UsageError(
-            f"Betti row of {_shown(2 * n + 1)} numbers (n = {n}) exceeds the "
+            f"Betti row of {_shown(2 * n + 1)} numbers (n = {_shown(n)}) exceeds the "
             f"{_ROW_LIMIT}-number limit"
         )
     if _more_digits(g, n, _DIGIT_LIMIT):
         raise _UsageError(
-            f"g = {g}, n = {n} needs numbers of more than {_DIGIT_LIMIT} digits"
+            f"g = {_shown(g)}, n = {_shown(n)} needs numbers of more than "
+            f"{_DIGIT_LIMIT} digits"
         )
     if row and _more_digits(g, n, _ROW_DIGIT_LIMIT // (2 * n + 1)):
         raise _UsageError(
@@ -325,7 +326,7 @@ def _factor_roundtrip(args: argparse.Namespace) -> None:
         raise _UsageError(f"--roundtrip bound must be >= 1, got {limit}")
     if limit > _ROUNDTRIP_LIMIT:
         raise _UsageError(
-            f"--roundtrip bound {limit} exceeds the limit of {_ROUNDTRIP_LIMIT}"
+            f"--roundtrip bound {_shown(limit)} exceeds the limit of {_ROUNDTRIP_LIMIT}"
         )
     verified = 0
     for n in range(1, limit + 1):

@@ -527,6 +527,25 @@ def test_size_limit_exits_2(args):
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
+# A refusal shows a size of more than 4000 digits as "over 10^4000", not in full.
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("factor", "--char", "q^" + "9" * 4100),
+        ("betti", "--genus", "1", "--n", "9" * 4100),
+        ("dims", "--genus", "9" * 4100, "--n", "2"),
+        ("factor", "--roundtrip", "9" * 4100),
+    ],
+    ids=["degree", "row-length", "genus", "roundtrip"],
+)
+def test_refusal_shows_a_long_size_as_over_10_4000(capsys, args):
+    assert cli.main(list(args)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "over 10^4000" in err
+    assert len(err) < 200 and len(err.splitlines()) == 1
+
+
 # A character is held dense from q^N to q^-N, so its degree is checked on
 # the parsed polynomial, at either end, before the character is built.
 @pytest.mark.parametrize("text", ["q^-3000", "q^3000", "q^2 + q^-3000"])

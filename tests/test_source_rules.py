@@ -1,175 +1,18 @@
-"""Rules on the package source: no cache that grows without bound, no floats,
-no whole-matrix products, one writer of the command line's stdout, one
-padder of its table columns, one writer of its stderr, one place that
-returns its exit code, no sparse characters in the classifier, no dense
-character built outside sl2rep, no series container behind symcurve, no
-closed form inside the series expansion, no Betti number computed by the
-command line, one owner of the int check, one owner of the command line's
-digit rule, and none of the methods deleted because only the tests read
-them."""
+"""Rules on the package source: each is one entry of ``RULES``, which says what
+it keeps out of which modules and why, and one of ``SNIPPETS``, its self-test."""
 
 import ast
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import pytest
 
 import multiproj
 
-SOURCES = sorted(Path(multiproj.__file__).parent.glob("*.py"))
-
-
-def unbounded_caches(tree):
-    """Line numbers of ``lru_cache(maxsize=None)`` and ``functools.cache``."""
-    lines = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "functools":
-            lines += [node.lineno for alias in node.names if alias.name == "cache"]
-        elif (
-            isinstance(node, ast.Attribute)
-            and node.attr == "cache"
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "functools"
-        ):
-            lines.append(node.lineno)
-        elif isinstance(node, ast.Call):
-            func = node.func
-            name = getattr(func, "attr", getattr(func, "id", None))
-            if name != "lru_cache":
-                continue
-            sizes = node.args[:1]
-            sizes += [k.value for k in node.keywords if k.arg == "maxsize"]
-            if any(isinstance(s, ast.Constant) and s.value is None for s in sizes):
-                lines.append(node.lineno)
-    return lines
-
-
-FLOAT_MATH = {"sqrt", "log", "exp"}
-
-
-def floating_point(tree):
-    """Line numbers of float literals, ``float(...)`` and math.sqrt/log/exp."""
-    lines = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Constant) and isinstance(node.value, float):
-            lines.append(node.lineno)
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "float"
-        ):
-            lines.append(node.lineno)
-        elif (
-            isinstance(node, ast.Attribute)
-            and node.attr in FLOAT_MATH
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "math"
-        ):
-            lines.append(node.lineno)
-        elif isinstance(node, ast.ImportFrom) and node.module == "math":
-            lines += [node.lineno for a in node.names if a.name in FLOAT_MATH]
-    return lines
-
-
-def test_sources_found():
-    assert {p.name for p in SOURCES} >= {"sl2rep.py", "classifier.py", "cli.py"}
-
-
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_no_unbounded_cache(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
-    assert unbounded_caches(tree) == [], f"unbounded cache in {path.name}"
-
-
-@pytest.mark.parametrize(
-    "source,flagged",
-    [
-        ("@functools.lru_cache(maxsize=None)\ndef f(): pass", True),
-        ("@lru_cache(None)\ndef f(): pass", True),
-        ("@functools.cache\ndef f(): pass", True),
-        ("from functools import cache", True),
-        ("@lru_cache(maxsize=128)\ndef f(): pass", False),
-        ("@lru_cache\ndef f(): pass", False),
-    ],
-    ids=["maxsize-none", "positional-none", "cache", "import-cache", "bounded", "bare"],
-)
-def test_rule_detects_unbounded_caches(source, flagged):
-    assert bool(unbounded_caches(ast.parse(source))) is flagged
-
-
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_no_floating_point(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
-    assert floating_point(tree) == [], f"floating point in {path.name}"
-
-
-@pytest.mark.parametrize(
-    "source,flagged",
-    [
-        ("x = 0.5", True),
-        ("x = 1e3", True),
-        ("x = float(n)", True),
-        ("import math\nx = math.sqrt(n)", True),
-        ("x = math.log(n)", True),
-        ("x = math.exp(n)", True),
-        ("from math import sqrt", True),
-        ("x = math.isqrt(n) + math.lcm(a, b)", False),
-        ("x = Fraction(1, 2)", False),
-        ("x = 10 ** 3", False),
-    ],
-    ids=["literal", "exponent-literal", "float-call", "sqrt", "log", "exp",
-         "import-sqrt", "integer-math", "fraction", "integer-power"],
-)
-def test_rule_detects_floating_point(source, flagged):
-    assert bool(floating_point(ast.parse(source))) is flagged
-
-
-MATRIX_PRODUCTS = {"__matmul__", "__rmatmul__", "__imatmul__", "kron"}
-
-
-def whole_matrix_products(tree):
-    """Line numbers of the ``@`` operator and of ``__matmul__`` or ``kron`` methods.
-
-    The matrix modules are checked and built one row at a time; a product of
-    whole matrices belongs in the tests, as an oracle.
-    """
-    lines = []
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
-            node.op, ast.MatMult
-        ):
-            lines.append(node.lineno)
-        elif (
-            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and node.name in MATRIX_PRODUCTS
-        ):
-            lines.append(node.lineno)
-    return lines
-
-
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_no_whole_matrix_products(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
-    assert whole_matrix_products(tree) == [], f"matrix product in {path.name}"
-
-
-@pytest.mark.parametrize(
-    "source,flagged",
-    [
-        ("c = a @ b", True),
-        ("c @= b", True),
-        ("class M:\n    def __matmul__(self, o): pass", True),
-        ("class M:\n    def __rmatmul__(self, o): pass", True),
-        ("class M:\n    def kron(self, o): pass", True),
-        ("def kron(a, b): pass", True),
-        ("@dataclass\nclass M: pass", False),
-        ("c = a * b", False),
-        ("y = m._apply(rows, v)", False),
-    ],
-    ids=["matmul", "augmented", "dunder", "reflected", "kron-method",
-         "kron-function", "decorator", "scalar", "apply"],
-)
-def test_rule_detects_whole_matrix_products(source, flagged):
-    assert bool(whole_matrix_products(ast.parse(source))) is flagged
+PACKAGE = Path(multiproj.__file__).parent
+SOURCES = sorted(PACKAGE.glob("*.py"))
+CLI, SYMCURVE = PACKAGE / "cli.py", PACKAGE / "symcurve.py"
 
 
 def nodes_inside(tree, name):
@@ -182,169 +25,148 @@ def nodes_inside(tree, name):
     ]
 
 
+def imported_names(pairs, nodes):
+    """Line numbers of ``m.x`` and ``from m import x``, for ``(m, x)`` in ``pairs``."""
+    lines = []
+    for node in nodes:
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if (node.value.id, node.attr) in pairs:
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            lines += [node.lineno for a in node.names if (node.module, a.name) in pairs]
+    return lines
+
+
+def named(banned, nodes):
+    """Line numbers naming one of ``banned``: a name, an attribute or an import."""
+    lines = []
+    for node in nodes:
+        if isinstance(node, ast.alias):  # an import, under any asname
+            name = node.name.rpartition(".")[2]
+        else:
+            name = getattr(node, "id", getattr(node, "attr", None))
+        if name in banned:
+            lines.append(node.lineno)
+    return lines
+
+
+def imports_beyond(module, allowed, nodes):
+    """Line numbers that import ``module``, or a name from it not in ``allowed``."""
+    lines = []
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").rpartition(".")[2] == module:
+                lines += [node.lineno for a in node.names if a.name not in allowed]
+            else:
+                lines += [node.lineno for a in node.names if a.name == module]
+        elif isinstance(node, ast.Import):
+            names = (a.name.rpartition(".")[2] for a in node.names)
+            lines += [node.lineno for name in names if name == module]
+    return lines
+
+
+def power_args(node):
+    """``[a, b]`` for ``a ** b``, the arguments of a ``pow`` call, else ``[]``."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        return [node.left, node.right]
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "pow":
+        return node.args
+    return []
+
+
+def unbounded_caches(nodes):
+    """Line numbers of ``lru_cache(maxsize=None)`` and ``functools.cache``,
+    under any name an import gives them."""
+    lru, tools = {"lru_cache"}, {"functools"}
+    for node in nodes:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            lru |= {a.asname or a.name for a in node.names if a.name == "lru_cache"}
+            tools |= {a.asname or a.name for a in node.names if a.name == "functools"}
+    lines = []
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            lines += [node.lineno for alias in node.names if alias.name == "cache"]
+        elif isinstance(node, ast.Attribute) and node.attr == "cache":
+            if getattr(node.value, "id", None) in tools:
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "attr", getattr(func, "id", None)) not in lru:
+                continue
+            sizes = node.args[:1]
+            sizes += [k.value for k in node.keywords if k.arg == "maxsize"]
+            if any(isinstance(s, ast.Constant) and s.value is None for s in sizes):
+                lines.append(node.lineno)
+    return lines
+
+
+FLOAT_NAMES = {("math", f) for f in ("sqrt", "log", "exp", "pow", "fsum")} | {
+    ("time", f) for f in ("time", "perf_counter", "monotonic", "process_time")
+}
+
+
+def floating_point(nodes):
+    """Line numbers of float literals, ``float(...)``, true division, a power
+    to a negated exponent, and the float functions of ``math`` and ``time``."""
+    lines = imported_names(FLOAT_NAMES, nodes)
+    for node in nodes:
+        args = power_args(node)
+        if (
+            len(args) == 2  # pow(a, -1, m) is an int
+            and isinstance(getattr(args[1], "op", None), ast.USub)
+            or isinstance(node, ast.Constant) and isinstance(node.value, float)
+            or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float"
+            or isinstance(node, (ast.BinOp, ast.AugAssign))
+            and isinstance(node.op, ast.Div)
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+MATRIX_PRODUCTS = {"__matmul__", "__rmatmul__", "__imatmul__", "kron"}
+
+
+def whole_matrix_products(nodes):
+    """Line numbers of the ``@`` operator and of ``__matmul__`` or ``kron`` methods."""
+    lines = []
+    for node in nodes:
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+            node.op, ast.MatMult
+        ):
+            lines.append(node.lineno)
+        elif (
+            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name in MATRIX_PRODUCTS
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
 STDOUT_NAMES = {
     ("sys", "stdout"), ("json", "dumps"), ("json", "dump"), ("args", "format")
 }
 
 
-def output_outside_emit(tree, names=STDOUT_NAMES):
-    """Line numbers of stdout writes and format choices outside ``_emit``.
-
-    Those are ``sys.stdout``, ``json.dumps``, ``json.dump``, any ``csv.``
-    name, ``print`` and ``args.format``.
-    """
-    inside = set(map(id, nodes_inside(tree, "_emit")))
-    lines = []
-    for node in ast.walk(tree):
-        if id(node) in inside:
-            continue
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-            pair = (node.value.id, node.attr)
-            if pair in names or node.value.id == "csv":
-                lines.append(node.lineno)
-        elif isinstance(node, ast.Name) and node.id == "print":
-            lines.append(node.lineno)
-    return lines
-
-
-def test_only_emit_writes_stdout():
-    path = Path(multiproj.__file__).parent / "cli.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    assert output_outside_emit(tree) == []
-
-
-EMIT = (
-    "def _emit(args, doc, rows, text):\n"
-    "    if args.format == 'json':\n"
-    "        sys.stdout.write(json.dumps(doc))\n"
-    "    csv.DictWriter(sys.stdout, list(rows[0]))\n"
-)
-
-
-@pytest.mark.parametrize(
-    "source,flagged",
-    [
-        (EMIT, False),
-        (EMIT + "def f(text):\n    sys.stdout.write(text)\n", True),
-        (EMIT + "def f(doc):\n    return json.dumps(doc)\n", True),
-        (EMIT + "def f(rows):\n    csv.writer(rows)\n", True),
-        (EMIT + "def f(text):\n    print(text)\n", True),
-        (EMIT + "def f(args):\n    return args.format == 'csv'\n", True),
-        (EMIT + "def f(text):\n    sys.stderr.write(text)\n", False),
-        (EMIT + "def f(doc, out):\n    json.dump(doc, out)\n", True),
-    ],
-    ids=["emit-only", "second-stdout-write", "json-dumps", "csv", "print",
-         "format-test", "stderr", "json-dump"],
-)
-def test_rule_detects_output_outside_emit(source, flagged):
-    assert bool(output_outside_emit(ast.parse(source))) is flagged
-
-
-def test_json_dump_caught_only_by_its_own_pair():
-    tree = ast.parse(EMIT + "def f(doc, out):\n    json.dump(doc, out)\n")
-    assert output_outside_emit(tree, STDOUT_NAMES - {("json", "dump")}) == []
-
-
-PADDING = {"ljust", "rjust", "center"}
-
-
-def padding_outside_emit(tree):
-    """Line numbers of ``.ljust``, ``.rjust`` and ``.center`` calls outside ``_emit``.
-
-    ``_emit`` alone pads rows into the table format's columns; a command that
-    pads its own text builds a second layout, and builds it even when
-    ``--quiet`` or another format drops it.
-    """
-    inside = set(map(id, nodes_inside(tree, "_emit")))
-    return [
+def stdout_writes(nodes, names=STDOUT_NAMES):
+    """Line numbers of stdout writes and format choices: ``sys.stdout``,
+    ``json.dumps``, ``json.dump``, any ``csv.`` name, ``print`` and ``args.format``."""
+    return imported_names(names, nodes) + [
         node.lineno
-        for node in ast.walk(tree)
-        if id(node) not in inside
-        and isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr in PADDING
+        for node in nodes
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "csv"
+        or isinstance(node, ast.Name) and node.id == "print"
     ]
 
 
-def test_only_emit_pads_columns():
-    path = Path(multiproj.__file__).parent / "cli.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    assert padding_outside_emit(tree) == []
-
-
-PAD = (
-    "def _emit(args, doc, rows, text=None):\n"
-    "    text = '\\n'.join('  '.join(c.ljust(w) for c in r) for r in rows)\n"
-)
-
-
-@pytest.mark.parametrize(
-    "source,flagged",
-    [
-        (PAD, False),
-        (PAD + "def f(c, w):\n    return c.ljust(w)\n", True),
-        (PAD + "text = name.rjust(8)\n", True),
-        (PAD + "def f(c):\n    return str(c).center(9, '-')\n", True),
-        (PAD + "def f(c):\n    return c.strip().ljust\n", False),
-        (PAD + "def f(line):\n    return line.rstrip()\n", False),
-    ],
-    ids=["emit-only", "ljust", "rjust", "center", "uncalled", "rstrip"],
-)
-def test_rule_detects_padding_outside_emit(source, flagged):
-    assert bool(padding_outside_emit(ast.parse(source))) is flagged
-
-
-def stderr_outside_main(tree):
-    """Line numbers of ``sys.stderr`` and ``from sys import stderr`` outside ``main``.
-
-    Every failure of the command line reaches ``main`` as an exception, and
-    ``main`` alone writes it, as one ``error: ...`` line.
-    """
-    inside = set(map(id, nodes_inside(tree, "main")))
-    lines = []
-    for node in ast.walk(tree):
-        if id(node) in inside:
-            continue
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-            if (node.value.id, node.attr) == ("sys", "stderr"):
-                lines.append(node.lineno)
-        elif isinstance(node, ast.ImportFrom) and node.module == "sys":
-            lines += [node.lineno for a in node.names if a.name == "stderr"]
-    return lines
-
-
-def test_only_main_writes_stderr():
-    path = Path(multiproj.__file__).parent / "cli.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    assert stderr_outside_main(tree) == []
-
-
-MAIN = (
-    "def main(argv):\n"
-    "    try:\n"
-    "        return run(argv)\n"
-    "    except UsageError as exc:\n"
-    "        sys.stderr.write(f'error: {exc}\\n')\n"
-    "        return 2\n"
-)
-
-
-@pytest.mark.parametrize(
-    "source,flagged",
-    [
-        (MAIN, False),
-        (MAIN + "def f(text):\n    sys.stderr.write(text)\n", True),
-        (MAIN + "def f(text):\n    print(text, file=sys.stderr)\n", True),
-        (MAIN + "def f(text, out=sys.stderr):\n    out.write(text)\n", True),
-        (MAIN + "from sys import stderr\n", True),
-        (MAIN + "def f(text):\n    sys.stdout.write(text)\n", False),
-        (MAIN + "def f(text):\n    raise UsageError(text)\n", False),
-    ],
-    ids=["main-only", "second-stderr-write", "print-to-stderr", "default-argument",
-         "import-stderr", "stdout", "raise"],
-)
-def test_rule_detects_stderr_outside_main(source, flagged):
-    assert bool(stderr_outside_main(ast.parse(source))) is flagged
+def padding_calls(nodes):
+    """Line numbers of ``.ljust``, ``.rjust`` and ``.center`` calls."""
+    return [
+        node.lineno
+        for node in nodes
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in {"ljust", "rjust", "center"}
+    ]
 
 
 def is_exit_code(node):
@@ -354,320 +176,27 @@ def is_exit_code(node):
     return isinstance(node, ast.Constant) and type(node.value) is int
 
 
-def exit_code_outside_main(tree):
-    """Line numbers of a ``return`` of an int literal outside ``main``.
-
-    A handler returns nothing: it reports a failure by raising, and ``main``
-    alone turns the outcome into the exit code.
-    """
-    inside = set(map(id, nodes_inside(tree, "main")))
+def exit_code_returns(nodes):
+    """Line numbers of a ``return`` of an int literal."""
     return [
         node.lineno
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Return) and id(node) not in inside
-        and is_exit_code(node.value)
+        for node in nodes
+        if isinstance(node, ast.Return) and is_exit_code(node.value)
     ]
-
-
-def test_only_main_returns_an_exit_code():
-    path = Path(multiproj.__file__).parent / "cli.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    assert exit_code_outside_main(tree) == []
-
-
-EXIT = (
-    "def main(argv):\n"
-    "    try:\n"
-    "        run(argv)\n"
-    "    except (UsageError, CheckFailed) as exc:\n"
-    "        return 2 if isinstance(exc, UsageError) else 1\n"
-    "    return 0\n"
-)
-
-
-@pytest.mark.parametrize(
-    "source,flagged",
-    [
-        (EXIT, False),
-        (EXIT + "def f(args):\n    emit(args)\n    return 0\n", True),
-        (EXIT + "def f(ok):\n    return 0 if ok else 1\n", True),
-        (EXIT + "def f(ok, code):\n    return code if ok else 1\n", True),
-        (EXIT + "def f(args):\n    return g(args)\n", False),
-        (EXIT + "def f(b, bits):\n    return bits > b\n", False),
-        (EXIT + "def f(b):\n    if b:\n        return True\n    return False\n", False),
-        (EXIT + "def f(args):\n    if args.quiet:\n        return\n", False),
-    ],
-    ids=["main-only", "handler-zero", "conditional", "one-literal-branch", "call",
-         "comparison", "bool", "bare-return"],
-)
-def test_rule_detects_exit_code_outside_main(source, flagged):
-    assert bool(exit_code_outside_main(ast.parse(source))) is flagged
-
-
-DENSE_CHARACTER_NAMES = {"_from_dense", "_coeffs"}
-
-
-def dense_character_internals(tree):
-    """Line numbers that name ``_from_dense`` or ``_coeffs``, however reached.
-
-    ``sl2rep`` owns the dense layout of a ``Character``; any other module
-    builds one through the checking constructor ``Character(poly)``.
-    """
-    lines = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.alias):
-            name = node.name
-        else:
-            name = getattr(node, "id", getattr(node, "attr", None))
-        if name in DENSE_CHARACTER_NAMES:
-            lines.append(node.lineno)
-    return lines
-
-
-# exactalg's ``_coeffs`` is LaurentPoly's own sparse dict, not a Character's.
-CHARACTER_CLIENTS = [p for p in SOURCES if p.name not in ("sl2rep.py", "exactalg.py")]
-
-
-@pytest.mark.parametrize("path", CHARACTER_CLIENTS, ids=lambda p: p.name)
-def test_only_sl2rep_builds_dense_characters(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
-    assert dense_character_internals(tree) == [], f"dense character in {path.name}"
-
-
-@pytest.mark.parametrize(
-    "source,flagged",
-    [
-        ("c = Character._from_dense(tuple(dense))", True),
-        ("half = c._coeffs[: len(c._coeffs) // 2 + 1]", True),
-        ("from .sl2rep import _from_dense", True),
-        ("def f(c):\n    return getattr(c, 'x')._coeffs", True),
-        ("c = Character(LaurentPoly(Counter(weights)))", False),
-        ("c = tensor_irreps_character(parts)", False),
-        ("text = '_from_dense'", False),
-    ],
-    ids=["from-dense", "coeffs", "import", "chained", "checked", "dense-product",
-         "string"],
-)
-def test_rule_detects_dense_character_internals(source, flagged):
-    assert bool(dense_character_internals(ast.parse(source))) is flagged
-
-
-def names_laurent_poly(tree):
-    """Line numbers where ``LaurentPoly`` is imported, named or an attribute.
-
-    ``classify`` works on dense characters; a sparse product in the
-    classifier would be a slow path back to the dict form.
-    """
-    lines = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            lines += [node.lineno for a in node.names if a.name == "LaurentPoly"]
-        elif isinstance(node, ast.Name) and node.id == "LaurentPoly":
-            lines.append(node.lineno)
-        elif isinstance(node, ast.Attribute) and node.attr == "LaurentPoly":
-            lines.append(node.lineno)
-    return lines
-
-
-def test_classifier_names_no_laurent_poly():
-    path = Path(multiproj.__file__).parent / "classifier.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    assert names_laurent_poly(tree) == []
-
-
-@pytest.mark.parametrize(
-    "source,flagged",
-    [
-        ("from .exactalg import LaurentPoly", True),
-        ("from .exactalg import _exact, LaurentPoly as LP", True),
-        ("p = LaurentPoly()", True),
-        ("p = exactalg.LaurentPoly({0: 1})", True),
-        ("def f(p: LaurentPoly): pass", True),
-        ("from .exactalg import _exact", False),
-        ("c = tensor_irreps_character(parts)", False),
-        ("text = 'LaurentPoly'", False),
-    ],
-    ids=["import", "import-as", "name", "attribute", "annotation", "other-import",
-         "dense", "string"],
-)
-def test_rule_detects_laurent_poly(source, flagged):
-    assert bool(names_laurent_poly(ast.parse(source))) is flagged
-
-
-SYMCURVE_EXACTALG_NAMES = {"binom", "_require_int"}
-
-
-def exactalg_beyond_binom(tree):
-    """Line numbers that reach ``exactalg`` for anything but ``binom`` and the
-    int check ``_require_int``.
-
-    ``symcurve`` expands its series one row of ints at a time; a series
-    type from ``exactalg`` would bring the general ring back.  A type check
-    is not one.
-    """
-    lines = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            if (node.module or "").rpartition(".")[2] == "exactalg":
-                lines += [node.lineno for a in node.names
-                          if a.name not in SYMCURVE_EXACTALG_NAMES]
-            else:
-                lines += [node.lineno for a in node.names if a.name == "exactalg"]
-        elif isinstance(node, ast.Import):
-            names = (a.name.rpartition(".")[2] for a in node.names)
-            lines += [node.lineno for name in names if name == "exactalg"]
-    return lines
-
-
-def test_symcurve_takes_only_binom_from_exactalg():
-    path = Path(multiproj.__file__).parent / "symcurve.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    assert exactalg_beyond_binom(tree) == []
-
-
-@pytest.mark.parametrize(
-    "source,flagged",
-    [
-        ("from .exactalg import binom", False),
-        ("from multiproj.exactalg import binom as choose", False),
-        ("from .sl2rep import Character", False),
-        ("from operator import add", False),
-        ("from .exactalg import _require_int, binom", False),
-        ("from .exactalg import binom, LaurentPoly", True),
-        ("from .exactalg import TruncatedBiseries", True),
-        ("from multiproj.exactalg import geometric_sum", True),
-        ("from .exactalg import *", True),
-        ("from . import exactalg", True),
-        ("import multiproj.exactalg", True),
-    ],
-    ids=["binom", "binom-as", "other-module", "stdlib", "int-check",
-         "binom-and-more", "series-type", "absolute", "star", "module",
-         "import-module"],
-)
-def test_rule_detects_exactalg_beyond_binom(source, flagged):
-    assert bool(exactalg_beyond_binom(ast.parse(source))) is flagged
-
-
-CLOSED_FORM_NAMES = {"binom", "comb", "_closed_half"}
-
-
-def closed_form_in_series(tree):
-    """Line numbers inside ``_series_rows`` that name ``binom``, ``comb`` or
-    ``_closed_half``.
-
-    Each Betti row is checked against the closed form; a series expansion that
-    took its coefficients from the closed form would check nothing.
-    """
-    lines = []
-    for inner in nodes_inside(tree, "_series_rows"):
-        if isinstance(inner, ast.alias):  # an import, under any asname
-            name = inner.name.rpartition(".")[2]
-        else:
-            name = getattr(inner, "id", getattr(inner, "attr", None))
-        if name in CLOSED_FORM_NAMES:
-            lines.append(inner.lineno)
-    return lines
-
-
-def test_series_rows_names_no_closed_form():
-    path = Path(multiproj.__file__).parent / "symcurve.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
-    assert "_series_rows" in defined
-    assert closed_form_in_series(tree) == []
-
-
-@pytest.mark.parametrize(
-    "source,flagged",
-    [
-        ("def _series_rows(g, n):\n    return [binom(2 * g, i) for i in g]", True),
-        ("def _series_rows(g, n):\n    return math.comb(2 * g, n)", True),
-        ("def _series_rows(g, n):\n    from math import comb as c\n    return c", True),
-        ("def _series_rows(g, n):\n    return _closed_half(g, n)", True),
-        ("def _series_rows(g, n):\n    c = c * (2 * g - i) // (i + 1)", False),
-        ("def _closed_half(g, n):\n    return binom(2 * g, n)", False),
-        ("from .exactalg import binom\ndef _series_rows(g, n): pass", False),
-    ],
-    ids=["binom", "math-comb", "import-comb-as", "closed-half", "ratio",
-         "other-function", "module-import"],
-)
-def test_rule_detects_closed_form_in_series(source, flagged):
-    assert bool(closed_form_in_series(ast.parse(source))) is flagged
-
-
-CLI_SYMCURVE_NAMES = {
-    "_compare", "_poincare_rows", "compare_dimensions", "poincare_polynomial"
-}
-
-
-def symcurve_beyond_rows(tree):
-    """Line numbers that take from ``symcurve`` more than the CLI may use.
-
-    The command line prints the rows and comparisons ``symcurve`` checked;
-    ``betti_closed`` or ``total_dim_cohomology`` there would re-derive them.
-    ``_compare`` takes the total of a checked row and derives no Betti number.
-    """
-    lines = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            if (node.module or "").rpartition(".")[2] == "symcurve":
-                lines += [node.lineno for a in node.names
-                          if a.name not in CLI_SYMCURVE_NAMES]
-            else:
-                lines += [node.lineno for a in node.names if a.name == "symcurve"]
-        elif isinstance(node, ast.Import):
-            names = (a.name.rpartition(".")[2] for a in node.names)
-            lines += [node.lineno for name in names if name == "symcurve"]
-    return lines
-
-
-def test_cli_takes_only_checked_rows_from_symcurve():
-    path = Path(multiproj.__file__).parent / "cli.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    assert symcurve_beyond_rows(tree) == []
-
-
-@pytest.mark.parametrize(
-    "source,flagged",
-    [
-        ("from .symcurve import _poincare_rows, compare_dimensions", False),
-        ("from .symcurve import _compare", False),
-        ("from multiproj.symcurve import poincare_polynomial as pp", False),
-        ("from .exactalg import binom", False),
-        ("from .symcurve import poincare_polynomial, betti_closed", True),
-        ("from .symcurve import total_dim_cohomology", True),
-        ("from multiproj.symcurve import _series_rows", True),
-        ("from .symcurve import _compare, _total_dim", True),
-        ("from .symcurve import *", True),
-        ("from . import symcurve", True),
-        ("import multiproj.symcurve", True),
-    ],
-    ids=["rows", "compare", "alias", "other-module", "closed-form", "sum-formula",
-         "absolute", "unchecked-sum", "star", "module", "import-module"],
-)
-def test_rule_detects_symcurve_beyond_rows(source, flagged):
-    assert bool(symcurve_beyond_rows(ast.parse(source))) is flagged
-
-
-INT_TYPES = {"int", "bool"}
 
 
 def names_int_type(node):
     """Whether ``node`` is the name ``int`` or ``bool``, or a display holding one."""
     if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
         return any(names_int_type(e) for e in node.elts)
-    return isinstance(node, ast.Name) and node.id in INT_TYPES
+    return isinstance(node, ast.Name) and node.id in {"int", "bool"}
 
 
-def int_checks(tree):
+def int_checks(nodes):
     """Line numbers of ``isinstance``/``issubclass`` against ``int`` or ``bool``,
-    and of comparisons with ``int``, ``bool`` or a set of types holding one.
-
-    ``exactalg`` decides what an exact int is, in ``_require_int`` and
-    ``_exact``; a second spelling of that rule elsewhere could drift from it.
-    """
+    and of comparisons with ``int``, ``bool`` or a set of types holding one."""
     lines = []
-    for node in ast.walk(tree):
+    for node in nodes:
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
@@ -682,92 +211,14 @@ def int_checks(tree):
     return lines
 
 
-INT_CHECK_CLIENTS = [p for p in SOURCES if p.name != "exactalg.py"]
-
-
-@pytest.mark.parametrize("path", INT_CHECK_CLIENTS, ids=lambda p: p.name)
-def test_only_exactalg_checks_ints(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
-    assert int_checks(tree) == [], f"int check in {path.name}"
-
-
-@pytest.mark.parametrize(
-    "source,flagged",
-    [
-        ("if not isinstance(v, int) or isinstance(v, bool):\n    pass", True),
-        ("ok = isinstance(v, bool)", True),
-        ("ok = isinstance(v, (Fraction, int))", True),
-        ("ok = {type(n), *map(type, betti)} != {int}", True),
-        ("ok = type(v) is int", True),
-        ("ok = g == 0 and isinstance(g, int) and g is not False", True),
-        ("ok = issubclass(type(v), int)", True),
-        ("_require_int(('g', 'n'), (g, n))", False),
-        ("ok = isinstance(other, ProjPoint)", False),
-        ("value = int(token, 10)", False),
-        ("ok = Fraction in map(type, row.values())", False),
-        ("ok = n == 0", False),
-    ],
-    ids=["loop", "bool", "type-tuple", "type-set", "type-is", "route", "subclass",
-         "helper", "other-class", "int-call", "fraction-screen", "value"],
-)
-def test_rule_detects_int_checks(source, flagged):
-    assert bool(int_checks(ast.parse(source))) is flagged
-
-
-def powers_of_ten(tree):
-    """Line numbers of ``10 ** x`` and ``pow(10, ...)`` outside ``_over_digits``.
-
-    The command line sizes what it prints by digits, and ``_over_digits``
-    alone decides whether a number has more digits than a limit; a second
-    power of ten would be a second copy of that rule.
-    """
-    inside = set(map(id, nodes_inside(tree, "_over_digits")))
+def powers_of_ten(nodes):
+    """Line numbers of ``10 ** x`` and ``pow(10, ...)``."""
     lines = []
-    for node in ast.walk(tree):
-        if id(node) in inside:
-            continue
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
-            base = node.left
-        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "pow":
-            base = node.args[0] if node.args else None
-        else:
-            continue
-        if isinstance(base, ast.Constant) and base.value == 10:
+    for node in nodes:
+        base = power_args(node)[:1]
+        if base and isinstance(base[0], ast.Constant) and base[0].value == 10:
             lines.append(node.lineno)
     return lines
-
-
-def test_only_the_digit_helper_forms_a_power_of_ten():
-    path = Path(multiproj.__file__).parent / "cli.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    assert powers_of_ten(tree) == []
-
-
-DIGITS = (
-    "def _over_digits(v, digits):\n"
-    "    return v.bit_length() > 3 * digits and v >= 10**digits\n"
-)
-
-
-@pytest.mark.parametrize(
-    "source,flagged",
-    [
-        (DIGITS, False),
-        (DIGITS + "x = 10**d\n", True),
-        (DIGITS + "def f(n):\n    return n >= 10 ** 4000\n", True),
-        (DIGITS + "x = pow(10, d)\n", True),
-        (DIGITS + "def _shown(v):\n    return v if v < 10**d else 'over'\n", True),
-        (DIGITS + "shown = f'over 10^{d}'\n", False),
-        (DIGITS + "x = 2 ** d\n", False),
-        (DIGITS + "x = d ** 10\n", False),
-        (DIGITS + "x = pow(d, 10)\n", False),
-        (DIGITS + "x = 10 * d\n", False),
-    ],
-    ids=["helper-only", "power", "comparison", "pow-call", "display", "text",
-         "other-base", "exponent-ten", "pow-exponent", "product"],
-)
-def test_rule_detects_powers_of_ten(source, flagged):
-    assert bool(powers_of_ten(ast.parse(source))) is flagged
 
 
 # Methods that nothing in the package, its command line or its benchmark
@@ -783,10 +234,10 @@ TEST_ONLY_METHODS = {
 }
 
 
-def methods_read_only_by_tests(tree):
+def methods_read_only_by_tests(nodes):
     """Line numbers of a def or class attribute of ``TEST_ONLY_METHODS``."""
     lines = []
-    for cls in ast.walk(tree):
+    for cls in nodes:
         if not isinstance(cls, ast.ClassDef):
             continue
         banned = TEST_ONLY_METHODS.get(cls.name, set())
@@ -802,32 +253,418 @@ def methods_read_only_by_tests(tree):
     return lines
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_no_test_only_methods(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
-    assert methods_read_only_by_tests(tree) == [], f"test-only method in {path.name}"
+class Rule(NamedTuple):
+    test: str  # the name of the test that finds ``files`` clean
+    matcher: Callable  # scanned nodes -> the line numbers it flags
+    files: Path | list  # one module, or a list of them
+    inside: str | None = None  # the one function the rule scans
+    exempt: str | None = None  # the one function it skips
 
 
-@pytest.mark.parametrize(
-    "source,flagged",
-    [
-        ("class LaurentPoly:\n    def zero(cls): pass", True),
-        ("class LaurentPoly:\n    @classmethod\n    def term(cls, c, e): pass", True),
-        ("class Character:\n    def __mul__(self, o): pass", True),
-        ("class RatMatrix:\n    apply = _apply", True),
-        ("class BracketReport:\n    def to_json(self): pass", True),
-        ("def f():\n    class RatMatrix:\n        def entry(self): pass", True),
-        ("class RatMatrix:\n    def _apply(self, rows, vec): pass", False),
-        ("class Partition:\n    def __len__(self): pass", True),
-        ("class IrrepMultiset:\n    def __len__(self): pass", True),
-        ("class IrrepMultiset:\n    def __iter__(self): pass", False),
-        ("class LaurentPoly:\n    def __add__(self, o): pass", False),
-        ("class PoincarePolynomial:\n    def total(self): pass", False),
-        ("def entry(m, i, j): pass", False),
-    ],
-    ids=["method", "classmethod", "dunder", "alias", "report", "nested",
-         "partition-len", "multiset-len", "multiset-iter", "private", "kept",
-         "other-class", "function"],
+RULES = {
+    # No cache that grows without bound in a long-lived process.
+    "unbounded_caches": Rule("test_no_unbounded_cache", unbounded_caches, SOURCES),
+    # No floating point, ever: a clock is ``perf_counter_ns``, and the one
+    # true division, in ``ProjPoint.normalized``, divides Fractions.
+    "floating_point": Rule(
+        "test_no_floating_point", floating_point, SOURCES, exempt="normalized"
+    ),
+    # The matrix modules are checked and built one row at a time; a product
+    # of whole matrices belongs in the tests, as an oracle.
+    "whole_matrix_products": Rule(
+        "test_no_whole_matrix_products", whole_matrix_products, SOURCES
+    ),
+    # ``_emit`` alone writes stdout and reads the format.
+    "output_outside_emit": Rule(
+        "test_only_emit_writes_stdout", stdout_writes, CLI, exempt="_emit"
+    ),
+    # ``_emit`` alone pads rows into the table format's columns; a command
+    # that pads its own text builds a second layout, even when ``--quiet`` or
+    # another format drops it.
+    "padding_outside_emit": Rule(
+        "test_only_emit_pads_columns", padding_calls, CLI, exempt="_emit"
+    ),
+    # Every failure of the command line reaches ``main`` as an exception, and
+    # ``main`` alone writes it, as one ``error: ...`` line.
+    "stderr_outside_main": Rule(
+        "test_only_main_writes_stderr",
+        partial(imported_names, {("sys", "stderr")}), CLI, exempt="main",
+    ),
+    # A handler returns nothing: it reports a failure by raising, and
+    # ``main`` alone turns the outcome into the exit code.
+    "exit_code_outside_main": Rule(
+        "test_only_main_returns_an_exit_code", exit_code_returns, CLI, exempt="main"
+    ),
+    # ``sl2rep`` owns the dense layout of a ``Character``; any other module
+    # builds one through the checking constructor ``Character(poly)``.
+    # exactalg's ``_coeffs`` is LaurentPoly's own sparse dict.
+    "dense_character_internals": Rule(
+        "test_only_sl2rep_builds_dense_characters",
+        partial(named, {"_from_dense", "_coeffs"}),
+        [p for p in SOURCES if p.name not in ("sl2rep.py", "exactalg.py")],
+    ),
+    # ``classify`` works on dense characters; a sparse product in the
+    # classifier would be a slow path back to the dict form.
+    "laurent_poly": Rule(
+        "test_classifier_names_no_laurent_poly",
+        partial(named, {"LaurentPoly"}), PACKAGE / "classifier.py",
+    ),
+    # ``symcurve`` expands its series one row of ints at a time; a series type
+    # from ``exactalg`` would bring the general ring back.  Its int check
+    # ``_require_int`` is not one.
+    "exactalg_beyond_binom": Rule(
+        "test_symcurve_takes_only_binom_from_exactalg",
+        partial(imports_beyond, "exactalg", {"binom", "_require_int"}), SYMCURVE,
+    ),
+    # Each Betti row is checked against the closed form; a series expansion
+    # that took its coefficients from the closed form would check nothing.
+    "closed_form_in_series": Rule(
+        "test_series_rows_names_no_closed_form",
+        partial(named, {"binom", "comb", "_closed_half"}), SYMCURVE,
+        inside="_series_rows",
+    ),
+    # The command line prints the rows and comparisons ``symcurve`` checked;
+    # ``betti_closed`` or ``total_dim_cohomology`` there would re-derive them.
+    # ``_compare`` takes the total of a checked row and derives no Betti number.
+    "symcurve_beyond_rows": Rule(
+        "test_cli_takes_only_checked_rows_from_symcurve",
+        partial(imports_beyond, "symcurve", {
+            "_compare", "_poincare_rows", "compare_dimensions", "poincare_polynomial"
+        }),
+        CLI,
+    ),
+    # ``exactalg`` decides what an exact int is, in ``_require_int`` and
+    # ``_exact``; a second spelling of that rule elsewhere could drift from it.
+    "int_checks": Rule(
+        "test_only_exactalg_checks_ints", int_checks,
+        [p for p in SOURCES if p.name != "exactalg.py"],
+    ),
+    # The command line sizes what it prints by digits, and ``_over_digits``
+    # alone decides whether a number has more digits than a limit; a second
+    # power of ten would be a second copy of that rule.
+    "powers_of_ten": Rule(
+        "test_only_the_digit_helper_forms_a_power_of_ten", powers_of_ten, CLI,
+        exempt="_over_digits",
+    ),
+    # Methods deleted because only the tests read them stay deleted.
+    "test_only_methods": Rule(
+        "test_no_test_only_methods", methods_read_only_by_tests, SOURCES
+    ),
+}
+
+
+def scanned(rule, tree):
+    """The nodes of ``tree`` that ``rule`` scans."""
+    r = RULES[rule]
+    if r.inside:
+        return nodes_inside(tree, r.inside)
+    skipped = set(map(id, nodes_inside(tree, r.exempt)))
+    return [node for node in ast.walk(tree) if id(node) not in skipped]
+
+
+def flags(rule, tree):
+    return RULES[rule].matcher(scanned(rule, tree))
+
+
+def after(prefix, cases):
+    """``cases`` with ``prefix`` put before each source."""
+    return [(case, prefix + source, flagged) for case, source, flagged in cases]
+
+
+EMIT = (
+    "def _emit(args, doc, rows, text):\n"
+    "    if args.format == 'json':\n"
+    "        sys.stdout.write(json.dumps(doc))\n"
+    "    csv.DictWriter(sys.stdout, list(rows[0]))\n"
 )
-def test_rule_detects_test_only_methods(source, flagged):
-    assert bool(methods_read_only_by_tests(ast.parse(source))) is flagged
+PAD = (
+    "def _emit(args, doc, rows, text=None):\n"
+    "    text = '\\n'.join('  '.join(c.ljust(w) for c in r) for r in rows)\n"
+)
+MAIN = (
+    "def main(argv):\n"
+    "    try:\n"
+    "        return run(argv)\n"
+    "    except UsageError as exc:\n"
+    "        sys.stderr.write(f'error: {exc}\\n')\n"
+    "        return 2\n"
+)
+EXIT = (
+    "def main(argv):\n"
+    "    try:\n"
+    "        run(argv)\n"
+    "    except (UsageError, CheckFailed) as exc:\n"
+    "        return 2 if isinstance(exc, UsageError) else 1\n"
+    "    return 0\n"
+)
+DIGITS = (
+    "def _over_digits(v, digits):\n"
+    "    return v.bit_length() > 3 * digits and v >= 10**digits\n"
+)
+
+# Each rule's self-test: (id, source, whether the rule flags it).
+SNIPPETS = {
+    "unbounded_caches": [
+        ("maxsize-none", "@functools.lru_cache(maxsize=None)\ndef f(): pass", True),
+        ("positional-none", "@lru_cache(None)\ndef f(): pass", True),
+        ("cache", "@functools.cache\ndef f(): pass", True),
+        ("import-cache", "from functools import cache", True),
+        ("lru-cache-as",
+         "from functools import lru_cache as memo\n@memo(maxsize=None)\ndef f(): pass",
+         True),
+        ("module-as", "import functools as ft\n@ft.cache\ndef f(): pass", True),
+        ("bounded", "@lru_cache(maxsize=128)\ndef f(): pass", False),
+        ("bare", "@lru_cache\ndef f(): pass", False),
+        ("lru-cache-as-bounded",
+         "from functools import lru_cache as memo\n@memo(maxsize=64)\ndef f(): pass",
+         False),
+        ("other-cache", "hits = self.cache", False),
+    ],
+    "floating_point": [
+        ("literal", "x = 0.5", True),
+        ("exponent-literal", "x = 1e3", True),
+        ("float-call", "x = float(n)", True),
+        ("sqrt", "import math\nx = math.sqrt(n)", True),
+        ("log", "x = math.log(n)", True),
+        ("exp", "x = math.exp(n)", True),
+        ("import-sqrt", "from math import sqrt", True),
+        ("true-division", "x = n / 2", True),
+        ("divide-in-place", "x /= 2", True),
+        ("negative-power", "x = 2 ** -1", True),
+        ("pow-negative", "x = pow(2, -1)", True),
+        ("math-pow", "x = math.pow(2, 3)", True),
+        ("fsum", "x = math.fsum(xs)", True),
+        ("clock", "t = time.time()", True),
+        ("perf-counter", "t = time.perf_counter()", True),
+        ("monotonic", "t = time.monotonic()", True),
+        ("process-time", "t = time.process_time()", True),
+        ("import-perf-counter", "from time import perf_counter", True),
+        ("import-time", "from time import time", True),
+        ("integer-math", "x = math.isqrt(n) + math.lcm(a, b)", False),
+        ("fraction", "x = Fraction(1, 2)", False),
+        ("fraction-of-names", "x = Fraction(a, b)", False),
+        ("integer-power", "x = 10 ** 3", False),
+        ("power-of-ten", "x = 10 ** d", False),
+        ("floor-division", "x = n // 2", False),
+        ("perf-counter-ns", "t = time.perf_counter_ns()", False),
+        ("modular-inverse", "x = pow(a, -1, m)", False),
+        ("normalized",
+         "def normalized(cs, lead):\n    return [c / lead for c in cs]", False),
+    ],
+    "whole_matrix_products": [
+        ("matmul", "c = a @ b", True),
+        ("augmented", "c @= b", True),
+        ("dunder", "class M:\n    def __matmul__(self, o): pass", True),
+        ("reflected", "class M:\n    def __rmatmul__(self, o): pass", True),
+        ("kron-method", "class M:\n    def kron(self, o): pass", True),
+        ("kron-function", "def kron(a, b): pass", True),
+        ("decorator", "@dataclass\nclass M: pass", False),
+        ("scalar", "c = a * b", False),
+        ("apply", "y = m._apply(rows, v)", False),
+    ],
+    "output_outside_emit": after(EMIT, [
+        ("emit-only", "", False),
+        ("second-stdout-write", "def f(text):\n    sys.stdout.write(text)\n", True),
+        ("json-dumps", "def f(doc):\n    return json.dumps(doc)\n", True),
+        ("csv", "def f(rows):\n    csv.writer(rows)\n", True),
+        ("print", "def f(text):\n    print(text)\n", True),
+        ("format-test", "def f(args):\n    return args.format == 'csv'\n", True),
+        ("stderr", "def f(text):\n    sys.stderr.write(text)\n", False),
+        ("json-dump", "def f(doc, out):\n    json.dump(doc, out)\n", True),
+        ("import-stdout", "from sys import stdout\n", True),
+        ("import-dumps", "from json import dumps\n", True),
+        ("import-dump", "from json import dump\n", True),
+        ("import-stderr", "from sys import stderr\n", False),
+    ]),
+    "padding_outside_emit": after(PAD, [
+        ("emit-only", "", False),
+        ("ljust", "def f(c, w):\n    return c.ljust(w)\n", True),
+        ("rjust", "text = name.rjust(8)\n", True),
+        ("center", "def f(c):\n    return str(c).center(9, '-')\n", True),
+        ("uncalled", "def f(c):\n    return c.strip().ljust\n", False),
+        ("rstrip", "def f(line):\n    return line.rstrip()\n", False),
+    ]),
+    "stderr_outside_main": after(MAIN, [
+        ("main-only", "", False),
+        ("second-stderr-write", "def f(text):\n    sys.stderr.write(text)\n", True),
+        ("print-to-stderr", "def f(text):\n    print(text, file=sys.stderr)\n", True),
+        ("default-argument",
+         "def f(text, out=sys.stderr):\n    out.write(text)\n", True),
+        ("import-stderr", "from sys import stderr\n", True),
+        ("stdout", "def f(text):\n    sys.stdout.write(text)\n", False),
+        ("raise", "def f(text):\n    raise UsageError(text)\n", False),
+    ]),
+    "exit_code_outside_main": after(EXIT, [
+        ("main-only", "", False),
+        ("handler-zero", "def f(args):\n    emit(args)\n    return 0\n", True),
+        ("conditional", "def f(ok):\n    return 0 if ok else 1\n", True),
+        ("one-literal-branch",
+         "def f(ok, code):\n    return code if ok else 1\n", True),
+        ("call", "def f(args):\n    return g(args)\n", False),
+        ("comparison", "def f(b, bits):\n    return bits > b\n", False),
+        ("bool",
+         "def f(b):\n    if b:\n        return True\n    return False\n", False),
+        ("bare-return", "def f(args):\n    if args.quiet:\n        return\n", False),
+    ]),
+    "dense_character_internals": [
+        ("from-dense", "c = Character._from_dense(tuple(dense))", True),
+        ("coeffs", "half = c._coeffs[: len(c._coeffs) // 2 + 1]", True),
+        ("import", "from .sl2rep import _from_dense", True),
+        ("chained", "def f(c):\n    return getattr(c, 'x')._coeffs", True),
+        ("checked", "c = Character(LaurentPoly(Counter(weights)))", False),
+        ("dense-product", "c = tensor_irreps_character(parts)", False),
+        ("string", "text = '_from_dense'", False),
+    ],
+    "laurent_poly": [
+        ("import", "from .exactalg import LaurentPoly", True),
+        ("import-as", "from .exactalg import _exact, LaurentPoly as LP", True),
+        ("name", "p = LaurentPoly()", True),
+        ("attribute", "p = exactalg.LaurentPoly({0: 1})", True),
+        ("annotation", "def f(p: LaurentPoly): pass", True),
+        ("other-import", "from .exactalg import _exact", False),
+        ("dense", "c = tensor_irreps_character(parts)", False),
+        ("string", "text = 'LaurentPoly'", False),
+    ],
+    "exactalg_beyond_binom": [
+        ("binom", "from .exactalg import binom", False),
+        ("binom-as", "from multiproj.exactalg import binom as choose", False),
+        ("other-module", "from .sl2rep import Character", False),
+        ("stdlib", "from operator import add", False),
+        ("int-check", "from .exactalg import _require_int, binom", False),
+        ("binom-and-more", "from .exactalg import binom, LaurentPoly", True),
+        ("series-type", "from .exactalg import TruncatedBiseries", True),
+        ("absolute", "from multiproj.exactalg import geometric_sum", True),
+        ("star", "from .exactalg import *", True),
+        ("module", "from . import exactalg", True),
+        ("import-module", "import multiproj.exactalg", True),
+    ],
+    "closed_form_in_series": after("def _series_rows(g, n):\n    ", [
+        ("binom", "return [binom(2 * g, i) for i in g]", True),
+        ("math-comb", "return math.comb(2 * g, n)", True),
+        ("import-comb-as", "from math import comb as c\n    return c", True),
+        ("closed-half", "return _closed_half(g, n)", True),
+        ("ratio", "c = c * (2 * g - i) // (i + 1)", False),
+    ]) + [
+        ("other-function",
+         "def _closed_half(g, n):\n    return binom(2 * g, n)", False),
+        ("module-import", "from .exactalg import binom\ndef _series_rows(g, n): pass",
+         False),
+    ],
+    "symcurve_beyond_rows": [
+        ("rows", "from .symcurve import _poincare_rows, compare_dimensions", False),
+        ("compare", "from .symcurve import _compare", False),
+        ("alias", "from multiproj.symcurve import poincare_polynomial as pp", False),
+        ("other-module", "from .exactalg import binom", False),
+        ("closed-form",
+         "from .symcurve import poincare_polynomial, betti_closed", True),
+        ("sum-formula", "from .symcurve import total_dim_cohomology", True),
+        ("absolute", "from multiproj.symcurve import _series_rows", True),
+        ("unchecked-sum", "from .symcurve import _compare, _total_dim", True),
+        ("star", "from .symcurve import *", True),
+        ("module", "from . import symcurve", True),
+        ("import-module", "import multiproj.symcurve", True),
+    ],
+    "int_checks": [
+        ("loop", "if not isinstance(v, int) or isinstance(v, bool):\n    pass", True),
+        ("bool", "ok = isinstance(v, bool)", True),
+        ("type-tuple", "ok = isinstance(v, (Fraction, int))", True),
+        ("type-set", "ok = {type(n), *map(type, betti)} != {int}", True),
+        ("type-is", "ok = type(v) is int", True),
+        ("route", "ok = g == 0 and isinstance(g, int) and g is not False", True),
+        ("subclass", "ok = issubclass(type(v), int)", True),
+        ("helper", "_require_int(('g', 'n'), (g, n))", False),
+        ("other-class", "ok = isinstance(other, ProjPoint)", False),
+        ("int-call", "value = int(token, 10)", False),
+        ("fraction-screen", "ok = Fraction in map(type, row.values())", False),
+        ("value", "ok = n == 0", False),
+    ],
+    "powers_of_ten": after(DIGITS, [
+        ("helper-only", "", False),
+        ("power", "x = 10**d\n", True),
+        ("comparison", "def f(n):\n    return n >= 10 ** 4000\n", True),
+        ("pow-call", "x = pow(10, d)\n", True),
+        ("display", "def _shown(v):\n    return v if v < 10**d else 'over'\n", True),
+        ("text", "shown = f'over 10^{d}'\n", False),
+        ("other-base", "x = 2 ** d\n", False),
+        ("exponent-ten", "x = d ** 10\n", False),
+        ("pow-exponent", "x = pow(d, 10)\n", False),
+        ("product", "x = 10 * d\n", False),
+    ]),
+    "test_only_methods": [
+        ("method", "class LaurentPoly:\n    def zero(cls): pass", True),
+        ("classmethod",
+         "class LaurentPoly:\n    @classmethod\n    def term(cls, c, e): pass", True),
+        ("dunder", "class Character:\n    def __mul__(self, o): pass", True),
+        ("alias", "class RatMatrix:\n    apply = _apply", True),
+        ("report", "class BracketReport:\n    def to_json(self): pass", True),
+        ("nested",
+         "def f():\n    class RatMatrix:\n        def entry(self): pass", True),
+        ("private", "class RatMatrix:\n    def _apply(self, rows, vec): pass", False),
+        ("partition-len", "class Partition:\n    def __len__(self): pass", True),
+        ("multiset-len", "class IrrepMultiset:\n    def __len__(self): pass", True),
+        ("multiset-iter", "class IrrepMultiset:\n    def __iter__(self): pass", False),
+        ("kept", "class LaurentPoly:\n    def __add__(self, o): pass", False),
+        ("other-class", "class PoincarePolynomial:\n    def total(self): pass", False),
+        ("function", "def entry(m, i, j): pass", False),
+    ],
+}
+
+
+def parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def rule_tests(rule):
+    """``rule``'s two tests, under the names they have always had: its files
+    are clean, and the rule flags each of its snippets as ``SNIPPETS`` says."""
+    r = RULES[rule]
+    if isinstance(r.files, Path):  # one module: the test takes no parameter
+        def clean():
+            assert flags(rule, parse(r.files)) == []
+    else:
+        @pytest.mark.parametrize("path", r.files, ids=lambda p: p.name)
+        def clean(path):
+            assert flags(rule, parse(path)) == [], f"{rule} in {path.name}"
+
+    @pytest.mark.parametrize(
+        "source,flagged",
+        [case[1:] for case in SNIPPETS[rule]],
+        ids=[case[0] for case in SNIPPETS[rule]],
+    )
+    def detects(source, flagged):
+        assert bool(flags(rule, ast.parse(source))) is flagged
+
+    return {r.test: clean, f"test_rule_detects_{rule}": detects}
+
+
+globals().update(pair for rule in RULES for pair in rule_tests(rule).items())
+
+
+def test_sources_found():
+    assert {p.name for p in SOURCES} >= {"sl2rep.py", "classifier.py", "cli.py"}
+
+
+def test_every_rule_has_snippets_of_both_kinds():
+    assert SNIPPETS.keys() == RULES.keys()
+    for rule, cases in SNIPPETS.items():
+        assert {flagged for _, _, flagged in cases} == {True, False}, rule
+
+
+def test_every_scanned_or_exempt_function_exists():
+    """A rule whose function was renamed would scan nothing, or skip nothing."""
+    missing = [
+        (rule, owner)
+        for rule, r in RULES.items()
+        if (owner := r.inside or r.exempt)
+        and not any(
+            nodes_inside(parse(path), owner)
+            for path in ([r.files] if isinstance(r.files, Path) else r.files)
+        )
+    ]
+    assert missing == []
+
+
+def test_json_dump_caught_only_by_its_own_pair():
+    tree = ast.parse(EMIT + "def f(doc, out):\n    json.dump(doc, out)\n")
+    nodes = scanned("output_outside_emit", tree)
+    assert stdout_writes(nodes, STDOUT_NAMES - {("json", "dump")}) == []
