@@ -3,14 +3,17 @@
 The cases are every invocation of acceptance criterion 10 in each format,
 with and without ``--quiet``, plus the usage and domain errors.  Each runs
 ``cli.main`` in-process and must reproduce ``tests/golden/cli.json``.
+``tests/golden/help.json`` holds the ``--help`` text of ``multiproj`` and of
+each command, at ``COLUMNS=80`` (argparse wraps to the terminal width).
 
-Re-record the file after an intended change of output:
+Re-record both files after an intended change of output:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
 
 import io
 import json
+import os
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -20,6 +23,7 @@ from multiproj import cli
 from test_acceptance import _CLI_CASES
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
+HELP_GOLDEN = GOLDEN.with_name("help.json")
 
 ERRORS = [
     ["lefschetz-check", "3", "--partition", "2,1"],
@@ -48,6 +52,10 @@ def invocations():
     yield from ERRORS
 
 
+HELP = [["--help"]] + [[name, "--help"] for name in (
+    "classify", "betti", "dims", "factor", "lefschetz-check", "table")]
+
+
 def run(argv):
     """``cli.main(argv)`` in-process: exit code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
@@ -60,7 +68,11 @@ def run(argv):
             "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
-CASES = json.loads(GOLDEN.read_text())["cases"] if GOLDEN.exists() else []
+def load(path):
+    return json.loads(path.read_text())["cases"] if path.exists() else []
+
+
+CASES, HELP_CASES = load(GOLDEN), load(HELP_GOLDEN)
 
 
 def test_golden_covers_every_invocation():
@@ -72,10 +84,22 @@ def test_output_matches_golden(case):
     assert run(case["argv"]) == case
 
 
+def test_help_golden_covers_every_command():
+    assert [case["argv"] for case in HELP_CASES] == HELP
+
+
+@pytest.mark.parametrize("case", HELP_CASES, ids=lambda case: " ".join(case["argv"]))
+def test_help_matches_golden(case, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(case["argv"]) == case
+
+
 def record():
-    cases = [run(argv) for argv in invocations()]
+    os.environ["COLUMNS"] = "80"
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps({"cases": cases}, indent=1) + "\n")
+    for path, argvs in ((GOLDEN, invocations()), (HELP_GOLDEN, HELP)):
+        cases = [run(argv) for argv in argvs]
+        path.write_text(json.dumps({"cases": cases}, indent=1) + "\n")
 
 
 if __name__ == "__main__":
