@@ -1,15 +1,7 @@
 """Command-line interface: every library operation as a scriptable command.
 
-Commands
---------
-classify P1 P2        isomorphism verdict for two multiprojective spaces
-betti                 Betti numbers of Sym^n of a genus-g curve
-dims                  dim H*(Sym^n C) vs dim Sym^n(H*(C)) comparison
-factor                recover tensor factors from a character (or round-trip check)
-lefschetz-check       bracket relations + irreducibility of the matrix modules
-table                 bulk (g, n) table of Betti numbers and dimension comparisons
-
-Each command takes ``--format {table,json,csv}`` (default: table) and
+The commands are the entries of ``COMMANDS``, whose help texts say what each
+does.  Each takes ``--format {table,json,csv}`` (default: table) and
 ``--quiet`` (suppress stdout, keep the exit code).  Output is deterministic:
 the same invocation always produces byte-identical stdout.
 
@@ -56,7 +48,7 @@ from dataclasses import asdict
 from functools import reduce
 from itertools import chain
 from math import comb, prod
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .classifier import Partition, classify, cohomology_character, parse_partition
 from .exactalg import LaurentPoly, _all_int
@@ -101,12 +93,17 @@ def _parse_range(text: str, what: str, minimum: int) -> range:
         lo = int(lo_text, 10)
         hi = int(hi_text, 10) if sep else lo
     except ValueError:
-        raise _UsageError(f"bad {what} range {text!r}: expected N or N..M") from None
+        raise _UsageError(f"bad {what} range {_cut(repr(text))}: expected N or N..M") from None
     if lo < minimum:
-        raise _UsageError(f"{what} must be >= {minimum}, got {lo}")
+        raise _UsageError(f"{what} must be >= {minimum}, got {_cut(str(lo))}")
     if hi < lo:
-        raise _UsageError(f"empty {what} range {text!r}")
+        raise _UsageError(f"empty {what} range {_cut(repr(text))}")
     return range(lo, hi + 1)
+
+
+def _cut(echo: str) -> str:
+    """User input as a refusal echoes it: past 32 characters, the first 29 and ``...``."""
+    return echo if len(echo) <= 32 else echo[:29] + "..."
 
 
 def _emit(args: argparse.Namespace, doc, rows: Iterable, text: str | None = None) -> None:
@@ -421,91 +418,66 @@ def _cmd_table(args: argparse.Namespace) -> None:
 # ------------------------------------------------------------------ parser
 
 
+class _Command(NamedTuple):
+    """A subcommand; each argument is a name or flag and its add_argument keywords."""
+
+    name: str
+    handler: Callable[[argparse.Namespace], None]
+    help: str
+    arguments: Sequence[tuple[str, dict]] = ()
+    exclusive: Sequence[tuple[str, dict]] = ()  # a required mutually exclusive group
+
+
+_INT = {"type": int, "required": True}
+_RANGE = {"required": True, "help": "range a..b or single value"}
+
+COMMANDS = (
+    _Command("classify", _cmd_classify,
+             "decide whether P^{a_1}x...xP^{a_r} and P^{b_1}x...xP^{b_s} are isomorphic",
+             [("partition1", {"help": "first partition, e.g. 2,1"}),
+              ("partition2", {"help": "second partition, e.g. 1,1,1"})]),
+    _Command("betti", _cmd_betti, "Betti numbers of Sym^n of a genus-g curve",
+             [("--genus", _INT), ("--n", _INT),
+              ("--sum", {"action": "store_true", "help": "emit only the total dimension"})]),
+    _Command("dims", _cmd_dims, "compare dim H*(Sym^n C) with dim Sym^n(H*(C))",
+             [("--genus", _INT), ("--n", _INT)]),
+    _Command("factor", _cmd_factor, "recover the irreducible tensor factors of a character",
+             exclusive=[
+                 ("--partition", {"help": "build the character from a partition"}),
+                 ("--char", {"help": 'character text, e.g. "q^2 + 2 + q^-2"'}),
+                 ("--roundtrip", {"type": int, "metavar": "N", "help": "verify factorization "
+                                  "round-trips for every partition with sum <= N"})]),
+    _Command("lefschetz-check", _cmd_lefschetz_check,
+             "verify bracket relations, character, and irreducibility of the matrix module",
+             exclusive=[
+                 ("n", {"nargs": "?", "type": int, "help": "projective-space dimension"}),
+                 ("--partition", {"help": "check the tensor module of a product instead"})]),
+    _Command("table", _cmd_table,
+             "bulk table of Betti numbers and dimension comparisons over (g, n) ranges",
+             [("--genus", _RANGE), ("--n", _RANGE)]),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=("table", "json", "csv"),
-        default="table",
-        help="output format (default: table)",
-    )
-    common.add_argument(
-        "--quiet",
-        action="store_true",
-        help="suppress stdout; the exit code still carries the outcome",
-    )
-
+    common.add_argument("--format", choices=("table", "json", "csv"), default="table",
+                        help="output format (default: table)")
+    common.add_argument("--quiet", action="store_true",
+                        help="suppress stdout; the exit code still carries the outcome")
     parser = _Parser(
         prog="multiproj",
         description="Classify multiprojective spaces and compute symmetric-product cohomology.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "classify",
-        parents=[common],
-        help="decide whether P^{a_1}x...xP^{a_r} and P^{b_1}x...xP^{b_s} are isomorphic",
-    )
-    p.add_argument("partition1", help="first partition, e.g. 2,1")
-    p.add_argument("partition2", help="second partition, e.g. 1,1,1")
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser(
-        "betti", parents=[common], help="Betti numbers of Sym^n of a genus-g curve"
-    )
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument(
-        "--sum", action="store_true", help="emit only the total dimension"
-    )
-    p.set_defaults(handler=_cmd_betti)
-
-    p = sub.add_parser(
-        "dims",
-        parents=[common],
-        help="compare dim H*(Sym^n C) with dim Sym^n(H*(C))",
-    )
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_cmd_dims)
-
-    p = sub.add_parser(
-        "factor",
-        parents=[common],
-        help="recover the irreducible tensor factors of a character",
-    )
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--partition", help="build the character from a partition")
-    group.add_argument(
-        "--char", help='character text, e.g. "q^2 + 2 + q^-2"'
-    )
-    group.add_argument(
-        "--roundtrip",
-        type=int,
-        metavar="N",
-        help="verify factorization round-trips for every partition with sum <= N",
-    )
-    p.set_defaults(handler=_cmd_factor)
-
-    p = sub.add_parser(
-        "lefschetz-check",
-        parents=[common],
-        help="verify bracket relations, character, and irreducibility of the matrix module",
-    )
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("n", nargs="?", type=int, help="projective-space dimension")
-    group.add_argument("--partition", help="check the tensor module of a product instead")
-    p.set_defaults(handler=_cmd_lefschetz_check)
-
-    p = sub.add_parser(
-        "table",
-        parents=[common],
-        help="bulk table of Betti numbers and dimension comparisons over (g, n) ranges",
-    )
-    p.add_argument("--genus", required=True, help="range a..b or single value")
-    p.add_argument("--n", required=True, help="range a..b or single value")
-    p.set_defaults(handler=_cmd_table)
-
+    for command in COMMANDS:
+        p = sub.add_parser(command.name, parents=[common], help=command.help)
+        p.set_defaults(handler=command.handler)
+        for flag, keywords in command.arguments:
+            p.add_argument(flag, **keywords)
+        if command.exclusive:
+            group = p.add_mutually_exclusive_group(required=True)
+            for flag, keywords in command.exclusive:
+                group.add_argument(flag, **keywords)
     return parser
 
 

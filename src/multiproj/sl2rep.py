@@ -64,8 +64,9 @@ class Character:
 
     @classmethod
     def _from_dense(cls, coeffs: tuple[int, ...]) -> "Character":
-        """Dense coefficients q^N..q^-N (N = len // 2) of a product built here,
-        a character by construction, so unchecked; elsewhere ``Character(poly)``."""
+        """Dense coefficients q^N..q^-N (N = len // 2) of an irreducible or a
+        product built here, a character by construction, so unchecked;
+        elsewhere ``Character(poly)``."""
         c = cls.__new__(cls)
         c._coeffs = coeffs
         return c
@@ -168,7 +169,7 @@ class IrrepMultiset:
 def irrep_character(n: int) -> Character:
     """Character q^n + q^(n-2) + ... + q^(-n) of the irreducible with label n."""
     _labels((n,))
-    return Character(LaurentPoly({k: 1 for k in range(-n, n + 1, 2)}))
+    return Character._from_dense((1, 0) * n + (1,))
 
 
 def tensor_character(factors: Sequence[Character]) -> Character:

@@ -18,6 +18,7 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -546,6 +547,25 @@ def test_refusal_shows_a_long_size_as_over_10_4000(capsys, args):
     assert len(err) < 200 and len(err.splitlines()) == 1
 
 
+# A range refusal echoes the range text, or a too small start, cut to a
+# fixed length: a long range is one short error line.
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("table", "--genus", "9" * 4100 + "..0", "--n", "1"),
+        ("table", "--genus", "0.." + "9" * 4400, "--n", "1"),
+        ("table", "--genus", "-" + "9" * 4100, "--n", "1"),
+    ],
+    ids=["empty", "bad", "below-minimum"],
+)
+def test_range_refusal_is_one_short_line(capsys, args):
+    assert cli.main(list(args)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert len(err.encode()) <= 200, err
+
+
 # A character is held dense from q^N to q^-N, so its degree is checked on
 # the parsed polynomial, at either end, before the character is built.
 @pytest.mark.parametrize("text", ["q^-3000", "q^3000", "q^2 + q^-3000"])
@@ -665,10 +685,13 @@ def unreachable(*args):
         (["lefschetz-check"], "one of the arguments n --partition is required"),
         (["betti", "--genus", "-1", "--n", "2"], "genus must be >= 0, got -1"),
         (["dims", "--genus", "-1", "--n", "2"], "genus must be >= 0, got -1"),
+        (["table", "--genus", "3..1", "--n", "1"], "empty genus range '3..1'\n"),
+        (["table", "--genus", "-1", "--n", "1"], "genus must be >= 0, got -1\n"),
     ],
     ids=["no-command", "unknown-command", "missing-argument", "non-int",
          "extra-argument", "factor-two-inputs", "lefschetz-both", "lefschetz-neither",
-         "betti-negative-genus", "dims-negative-genus"],
+         "betti-negative-genus", "dims-negative-genus", "table-empty-range",
+         "table-negative-genus"],
 )
 def test_usage_error_is_one_returned_line(monkeypatch, argv, message):
     for name in ("poincare_polynomial", "compare_dimensions", "_poincare_rows",
@@ -758,3 +781,16 @@ def test_every_argv_ends_in_a_returned_code(argv):
         assert err.endswith("\n")
     if code == 2:
         assert out == ""
+
+
+# The command list of README's "Command line" section is the parser's.
+def test_readme_lists_every_command():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    names = dict.fromkeys(line.split()[1] for line in block.splitlines())
+    assert list(names) == [command.name for command in cli.COMMANDS]
+
+
+def test_every_handler_belongs_to_one_command():
+    handlers = sorted(name for name in vars(cli) if name.startswith("_cmd_"))
+    assert sorted(command.handler.__name__ for command in cli.COMMANDS) == handlers

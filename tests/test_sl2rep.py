@@ -2,11 +2,13 @@
 
 import random
 import re
+import tracemalloc
 from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, strategies as st
 
+from multiproj import sl2rep
 from multiproj.exactalg import LaurentPoly
 from multiproj.sl2rep import (
     Character,
@@ -103,6 +105,17 @@ class TestIrrepCharacter:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             irrep_character(-1)
+
+    # Built dense, with no sparse polynomial of n + 1 terms on the way.
+    def test_large_irreducible_is_one_tuple(self):
+        tracemalloc.start()
+        try:
+            c = irrep_character(10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert c.dimension == 10**6 + 1
+        assert peak < 40 * 2**20
 
 
 class TestCharacterInvariants:
@@ -267,6 +280,13 @@ class TestFactorization:
     def test_trivial_character_rejected(self):
         with pytest.raises(FactorizationError):
             factor_tensor_of_irreps(irrep_character(0))
+
+    # The peeled labels are confirmed by rebuilding their product, so wrong
+    # labels from the peel are refused, not returned.
+    def test_labels_confirmed_by_rebuilding(self, monkeypatch):
+        monkeypatch.setattr(sl2rep, "_peel_q_integers", lambda c: IrrepMultiset((1,)))
+        with pytest.raises(FactorizationError, match="not a tensor"):
+            factor_tensor_of_irreps(irrep_character(2))
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_round_trip(self, n):
