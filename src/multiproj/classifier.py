@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -72,6 +73,11 @@ def parse_partition(text: str) -> Partition:
         try:
             value = int(tok, 10)
         except ValueError:
+            if re.fullmatch(r"[+-]?\d+(?:_\d+)*", tok):  # an int past the text limit
+                raise ValueError(
+                    f"invalid partition part {tok!r}: an integer of more than "
+                    f"{sys.get_int_max_str_digits()} digits"
+                ) from None
             raise ValueError(f"invalid partition part {tok!r}: not an integer") from None
         if value < 1:
             raise ValueError(f"invalid partition part {tok!r}: parts must be >= 1")

@@ -9,8 +9,9 @@ Exit codes: 0 = result computed (including NON_ISOMORPHIC verdicts -- the
 answer to a question is not an error); 1 = domain failure (e.g. a character
 with no factorization into nontrivial irreducibles, or a failed expectation
 in lefschetz-check, after its report); 2 = usage or parse error.  Each error,
-argparse's too, is one ``error: ...`` line on stderr, and ``main`` alone
-returns the exit code (only ``--help`` raises ``SystemExit``).  Requests
+argparse's too, is one ``error: ...`` line on stderr of at most 200 characters
+(``_cut`` keeps a longer message's start and end around ``...``), and ``main``
+alone returns the exit code (only ``--help`` raises ``SystemExit``).  Requests
 over a size limit are usage errors, each sized by what it would print:
 
 * ``table``: more than 10^4 cells;
@@ -93,17 +94,12 @@ def _parse_range(text: str, what: str, minimum: int) -> range:
         lo = int(lo_text, 10)
         hi = int(hi_text, 10) if sep else lo
     except ValueError:
-        raise _UsageError(f"bad {what} range {_cut(repr(text))}: expected N or N..M") from None
+        raise _UsageError(f"bad {what} range {text!r}: expected N or N..M") from None
     if lo < minimum:
-        raise _UsageError(f"{what} must be >= {minimum}, got {_cut(str(lo))}")
+        raise _UsageError(f"{what} must be >= {minimum}, got {lo}")
     if hi < lo:
-        raise _UsageError(f"empty {what} range {_cut(repr(text))}")
+        raise _UsageError(f"empty {what} range {text!r}")
     return range(lo, hi + 1)
-
-
-def _cut(echo: str) -> str:
-    """User input as a refusal echoes it: past 32 characters, the first 29 and ``...``."""
-    return echo if len(echo) <= 32 else echo[:29] + "..."
 
 
 def _emit(args: argparse.Namespace, doc, rows: Iterable, text: str | None = None) -> None:
@@ -481,12 +477,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _cut(message: str) -> str:  # "error: " + 192 characters + "\n" = 200
+    return message if len(message) <= 192 else f"{message[:120]}...{message[-69:]}"
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         args.handler(args)
     except (_UsageError, FactorizationError, _CheckFailed) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        sys.stderr.write(f"error: {_cut(str(exc))}\n")
         return 2 if isinstance(exc, _UsageError) else 1
     return 0
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from itertools import repeat
 from typing import Collection, Iterable, Iterator, Mapping
@@ -183,14 +184,20 @@ class LaurentPoly:
                     f"missing '+'/'-' between terms near {text[pos:pos + 12]!r}"
                 )
             sign = -1 if m.group("sign") == "-" else 1
-            if m.group("const") is not None:
-                coeff, exp = int(m.group("const")), 0
-            elif m.group("coeff") is not None:
-                coeff = int(m.group("coeff"))
-                exp = int(m.group("cexp") or 1)
-            else:
-                coeff = 1
-                exp = int(m.group("exp") or 1)
+            try:
+                if m.group("const") is not None:
+                    coeff, exp = int(m.group("const")), 0
+                elif m.group("coeff") is not None:
+                    coeff = int(m.group("coeff"))
+                    exp = int(m.group("cexp") or 1)
+                else:
+                    coeff = 1
+                    exp = int(m.group("exp") or 1)
+            except ValueError:  # the term matched: a number past the int-from-text limit
+                raise ValueError(
+                    f"number of more than {sys.get_int_max_str_digits()} digits "
+                    f"near {text[pos:pos + 12]!r}"
+                ) from None
             out[exp] = out.get(exp, 0) + sign * coeff
             pos = m.end()
             first = False

@@ -2,6 +2,7 @@
 
 import cProfile
 import pstats
+import sys
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,25 @@ class TestParsePartition:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             parse_partition("  ")
+
+    # int() refuses an integer past Python's digit limit for integer text, and
+    # the message names that limit, not the token's form.
+    @pytest.mark.parametrize(
+        "token,reason",
+        [
+            ("9" * 5000, "an integer of more than {} digits"),
+            ("+" + "9" * 5000, "an integer of more than {} digits"),
+            ("1_" * 4400 + "1", "an integer of more than {} digits"),
+            ("9" * 5000 + "x", "not an integer"),
+            ("x" * 5000, "not an integer"),
+        ],
+        ids=["digits", "signed", "underscores", "digits-then-text", "text"],
+    )
+    def test_overlong_integer_refused_for_its_length(self, token, reason):
+        with pytest.raises(ValueError) as info:
+            parse_partition(f"2,{token}")
+        message = f"invalid partition part {token!r}: "
+        assert str(info.value) == message + reason.format(sys.get_int_max_str_digits())
 
 
 class TestPartitionType:

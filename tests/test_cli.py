@@ -547,8 +547,8 @@ def test_refusal_shows_a_long_size_as_over_10_4000(capsys, args):
     assert len(err) < 200 and len(err.splitlines()) == 1
 
 
-# A range refusal echoes the range text, or a too small start, cut to a
-# fixed length: a long range is one short error line.
+# A range refusal echoes the range text, or a too small start, and main
+# cuts the line to a fixed length: a long range is one short error line.
 @pytest.mark.parametrize(
     "args",
     [
@@ -563,6 +563,50 @@ def test_range_refusal_is_one_short_line(capsys, args):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert len(err.encode()) <= 200, err
+
+
+# main writes every error line, and cuts a message of more than 192
+# characters to its first 120, "..." and its last 69: a refusal that echoes
+# long input, its own or argparse's, is one line of at most 200 bytes that
+# starts as the whole message would and ends as it does.
+LONG_TEXT, LONG_NEGATIVE = "x" * 5000, "-" + "9" * 4100
+
+
+@pytest.mark.parametrize(
+    "argv,code,start,end",
+    [
+        (["classify", LONG_TEXT, "1"], 2, "invalid partition part 'xxx",
+         "x': not an integer"),
+        (["factor", "--partition", LONG_TEXT], 2, "invalid partition part 'xxx",
+         "x': not an integer"),
+        (["betti", "--genus", LONG_TEXT, "--n", "1"], 2,
+         "argument --genus: invalid int value: 'xxx", "x'"),
+        ([LONG_TEXT], 2, "argument command: invalid choice: 'xxx", ")"),
+        (["betti", "--genus", LONG_NEGATIVE, "--n", "1"], 2, "genus must be >= 0, got -99",
+         "99"),
+        (["betti", "--genus", "1", "--n", LONG_NEGATIVE], 2, "--n must be >= 1, got -99",
+         "99"),
+        (["dims", "--genus", "1", "--n", LONG_NEGATIVE], 2,
+         "--n must be >= 2 (the comparison is trivial below that), got -99", "99"),
+        (["lefschetz-check", LONG_NEGATIVE], 2, "dimension must be nonnegative, got -99",
+         "99"),
+        (["factor", "--roundtrip", LONG_NEGATIVE], 2,
+         "--roundtrip bound must be >= 1, got -99", "99"),
+        (["factor", "--char", "9" * 4000 + "*q"], 2,
+         "not a character: coefficient at q^1 (99", "99) differs from q^-1 (0)"),
+        (["factor", "--char", " + ".join(f"2*q^{k}" for k in range(500, -501, -1))], 1,
+         "not a tensor of nontrivial irreducibles: 2*q^500 + 2*q^499", " + 2*q^-500"),
+    ],
+    ids=["classify-text", "partition-text", "invalid-int", "invalid-choice",
+         "negative-genus", "betti-negative-n", "dims-negative-n", "lefschetz-negative",
+         "roundtrip-negative", "not-a-palindrome", "does-not-factor"],
+)
+def test_every_error_line_is_bounded(argv, code, start, end):
+    got, out, err = main_in_process(argv)
+    assert (got, out) == (code, "")
+    assert err.startswith(f"error: {start}") and err.endswith(f"{end}\n"), err
+    assert "..." in err and len(err.splitlines()) == 1
     assert len(err.encode()) <= 200, err
 
 
@@ -728,13 +772,15 @@ def test_failed_lefschetz_check_is_one_error_line(monkeypatch):
     assert main_in_process(["lefschetz-check", "3", "--quiet"]) == (1, "", error)
 
 
-# Small values, and numbers at the 4300 digits Python still turns into text,
-# which every command refuses before doing any work: every argv is cheap.
+# Small values, numbers at the 4300 digits Python still turns into text,
+# which every command refuses before doing any work (every argv is cheap),
+# and long tokens that a refusal echoes (every error line is bounded).
 TOKENS = st.sampled_from([
     "0", "1", "2", "3", "6", "-1", "-7", "x", "", "1.5", "1..2", "2..1", "0..1",
     "-1..1", "1..", "..", "2,1", "1,1", "0,2", "2,,1", "q", "q^2 + 2 + q^-2",
     "q^^2", "q^3 + q^-3", "json", "csv", "xml", "--quiet", "--sum", "--",
     "9" * 4300, "0.." + "9" * 4300, f"{'9' * 4300}*q + {'9' * 4300}*q",
+    "-" + "9" * 4100, "x" * 5000,
 ])
 OPTIONS = st.sampled_from([
     "--genus", "--n", "--partition", "--char", "--roundtrip", "--format",
@@ -778,7 +824,7 @@ def test_every_argv_ends_in_a_returned_code(argv):
         assert err == ""
     else:
         assert err.startswith("error: ") and err.count("\n") == 1, err
-        assert err.endswith("\n")
+        assert err.endswith("\n") and len(err.encode()) <= 200, err
     if code == 2:
         assert out == ""
 

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -86,6 +87,26 @@ class TestLaurentPoly:
     def test_parse_rejects(self, text):
         with pytest.raises(ValueError):
             L(text)
+
+    # A number past Python's digit limit for integer text is refused by name.
+    @pytest.mark.parametrize(
+        "text,near",
+        [
+            ("9" * 5000, "9" * 12),
+            ("q^" + "9" * 5000, "q^" + "9" * 10),
+            ("q^-" + "9" * 5000, "q^-" + "9" * 9),
+            ("9" * 5000 + "*q", "9" * 12),
+            ("2*q^" + "9" * 5000, "2*q^" + "9" * 8),
+            ("1 + q^" + "9" * 5000, "+ q^" + "9" * 8),
+        ],
+        ids=["constant", "exponent", "negative-exponent", "coefficient",
+             "exponent-of-term", "second-term"],
+    )
+    def test_parse_names_the_digit_limit(self, text, near):
+        with pytest.raises(ValueError) as info:
+            L(text)
+        limit = sys.get_int_max_str_digits()
+        assert str(info.value) == f"number of more than {limit} digits near {near!r}"
 
     @pytest.mark.parametrize(
         "build,message",

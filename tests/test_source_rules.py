@@ -290,6 +290,11 @@ RULES = {
         "test_only_main_writes_stderr",
         partial(imported_names, {("sys", "stderr")}), CLI, exempt="main",
     ),
+    # ``main`` alone bounds an error line, with ``_cut``, whatever the message
+    # echoes; a refusal that cut its own echo would be a second length rule.
+    "cut_outside_main": Rule(
+        "test_only_main_cuts_an_error_line", partial(named, {"_cut"}), CLI, exempt="main"
+    ),
     # A handler returns nothing: it reports a failure by raising, and
     # ``main`` alone turns the outcome into the exit code.
     "exit_code_outside_main": Rule(
@@ -388,6 +393,15 @@ MAIN = (
     "    except UsageError as exc:\n"
     "        sys.stderr.write(f'error: {exc}\\n')\n"
     "        return 2\n"
+)
+CUT = (
+    "def _cut(message):\n"
+    "    return message if len(message) <= 192 else message[:120] + '...'\n"
+    "def main(argv):\n"
+    "    try:\n"
+    "        run(argv)\n"
+    "    except UsageError as exc:\n"
+    "        sys.stderr.write(f'error: {_cut(str(exc))}\\n')\n"
 )
 EXIT = (
     "def main(argv):\n"
@@ -493,6 +507,15 @@ SNIPPETS = {
         ("import-stderr", "from sys import stderr\n", True),
         ("stdout", "def f(text):\n    sys.stdout.write(text)\n", False),
         ("raise", "def f(text):\n    raise UsageError(text)\n", False),
+    ]),
+    "cut_outside_main": after(CUT, [
+        ("main-only", "", False),
+        ("echo", "def f(text):\n    raise UsageError(f'bad {_cut(repr(text))}')\n", True),
+        ("mapped", "def f(parts):\n    return ', '.join(map(_cut, parts))\n", True),
+        ("module-level", "short = _cut(message)\n", True),
+        ("import", "from .cli import _cut\n", True),
+        ("slice", "def f(text):\n    return text[:32] + '...'\n", False),
+        ("method", "def f(text):\n    return text.cut(32)\n", False),
     ]),
     "exit_code_outside_main": after(EXIT, [
         ("main-only", "", False),
