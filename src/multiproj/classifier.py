@@ -18,10 +18,10 @@ from __future__ import annotations
 import enum
 import re
 import sys
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Sequence
 
+from ._record import Record, _set
 from .exactalg import _exact, _require_int
 from .sl2rep import (
     Character,
@@ -32,20 +32,29 @@ from .sl2rep import (
 from .symcurve import PoincarePolynomial
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """A partition (n_1 >= n_2 >= ... >= n_r >= 1), canonically descending."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(self.parts)  # checked, then read: an iterator is read once
+    def __init__(self, parts: Iterable[int]):
+        parts = tuple(parts)  # checked, then read: an iterator is read once
         if not parts:
             raise ValueError("a partition needs at least one part")
         _require_int("partition parts", parts)
         if any(p < 1 for p in parts):
             raise ValueError(f"all parts must be positive, got {parts}")
-        object.__setattr__(self, "parts", tuple(sorted(parts, reverse=True)))
+        _set(self, "parts", tuple(sorted(parts, reverse=True)))
+
+    # ``classify`` compares partitions: the field read directly, not through
+    # Record's field tuple.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
     @property
     def n(self) -> int:
@@ -105,8 +114,7 @@ class Reason(enum.Enum):
     DISTINCT_CHARACTERS = "DISTINCT_CHARACTERS"
 
 
-@dataclass(frozen=True)
-class ClassificationVerdict:
+class ClassificationVerdict(Record):
     """Verdict plus the representation-theoretic evidence backing it.
 
     For reason DIMENSION_MISMATCH the character/factorization fields are None
@@ -115,14 +123,28 @@ class ClassificationVerdict:
     guaranteed to round-trip to the input partitions.
     """
 
-    verdict: Verdict
-    reason: Reason
-    partition1: Partition
-    partition2: Partition
-    character1: Character | None = None
-    character2: Character | None = None
-    factorization1: IrrepMultiset | None = None
-    factorization2: IrrepMultiset | None = None
+    __slots__ = ("verdict", "reason", "partition1", "partition2", "character1",
+                 "character2", "factorization1", "factorization2")
+
+    def __init__(
+        self,
+        verdict: Verdict,
+        reason: Reason,
+        partition1: Partition,
+        partition2: Partition,
+        character1: Character | None = None,
+        character2: Character | None = None,
+        factorization1: IrrepMultiset | None = None,
+        factorization2: IrrepMultiset | None = None,
+    ):
+        _set(self, "verdict", verdict)
+        _set(self, "reason", reason)
+        _set(self, "partition1", partition1)
+        _set(self, "partition2", partition2)
+        _set(self, "character1", character1)
+        _set(self, "character2", character2)
+        _set(self, "factorization1", factorization1)
+        _set(self, "factorization2", factorization2)
 
     def to_json_dict(self) -> dict:
         return {

@@ -9,8 +9,9 @@ Exit codes: 0 = result computed (including NON_ISOMORPHIC verdicts -- the
 answer to a question is not an error); 1 = domain failure (e.g. a character
 with no factorization into nontrivial irreducibles, or a failed expectation
 in lefschetz-check, after its report); 2 = usage or parse error.  Each error,
-argparse's too, is one ``error: ...`` line on stderr of at most 200 characters
-(``_cut`` keeps a longer message's start and end around ``...``), and ``main``
+argparse's too, is one ``error: ...`` line on stderr of at most 200 bytes of
+UTF-8 (``_cut`` keeps a longer message's start and end around ``...``, and
+splits no character), and ``main``
 alone returns the exit code (only ``--help`` raises ``SystemExit``).  Requests
 over a size limit are usage errors, each sized by what it would print:
 
@@ -45,7 +46,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict
 from functools import reduce
 from itertools import chain
 from math import comb, prod
@@ -271,7 +271,8 @@ def _cmd_dims(args: argparse.Namespace) -> None:
         )
     _check_size(args.genus, args.n, row=False)
     dims = compare_dimensions(args.genus, args.n)
-    doc = {**asdict(dims), "relation": dims.relation.value}
+    doc = {"g": dims.g, "n": dims.n, "total_dim": dims.total_dim,
+           "sym_dim": dims.sym_dim, "relation": dims.relation.value}
     _emit(args, doc, [doc], f"{dims.total_dim},{dims.sym_dim},{dims.relation.value}")
 
 
@@ -477,8 +478,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cut(message: str) -> str:  # "error: " + 192 characters + "\n" = 200
-    return message if len(message) <= 192 else f"{message[:120]}...{message[-69:]}"
+def _cut(message: str) -> str:  # "error: " + 192 bytes + "\n" = 200 bytes
+    # A character the byte cuts split is dropped; a lone surrogate counts as
+    # the escape that stderr writes for it.
+    data = message.encode(errors="backslashreplace")
+    if len(data) <= 192:
+        return message
+    return f"{data[:120].decode(errors='ignore')}...{data[-69:].decode(errors='ignore')}"
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -20,9 +20,9 @@ from __future__ import annotations
 import math
 import re
 import sys
+from collections.abc import Collection, Iterable, Iterator, Mapping
 from fractions import Fraction
 from itertools import repeat
-from typing import Collection, Iterable, Iterator, Mapping
 
 
 def _is_int(v: object) -> bool:

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
 
+from ._record import Record, _set
 from .exactalg import LaurentPoly, _exact, _require_int
 from .sl2rep import Character
 
@@ -142,8 +142,7 @@ def _reduce_row(by_lead: dict[int, dict[int, int]], row: dict[int, int]) -> None
                 del row[c]
 
 
-@dataclass(frozen=True)
-class Sl2MatrixModule:
+class Sl2MatrixModule(Record):
     """A concrete sl(2,C)-module: exact matrices X and Y on a weight basis.
 
     H acts on each basis vector by its weight, so it is not stored: ``H`` is
@@ -154,17 +153,15 @@ class Sl2MatrixModule:
     failures are data).
     """
 
-    X: RatMatrix
-    Y: RatMatrix
-    basis_weights: tuple[int, ...]
+    __slots__ = ("X", "Y", "basis_weights")
 
-    def __post_init__(self):
-        w = self.basis_weights
+    def __init__(self, X: RatMatrix, Y: RatMatrix, basis_weights: tuple[int, ...]):
+        w = basis_weights
         d = len(w)
         if not d:
             raise ValueError("a module needs at least one basis weight")
         _require_int("basis weights", w)
-        for name, op, shift in (("X", self.X, 2), ("Y", self.Y, -2)):
+        for name, op, shift in (("X", X, 2), ("Y", Y, -2)):
             if op.nrows != d or op.ncols != d:
                 raise ValueError(
                     f"{name} is {op.nrows}x{op.ncols}, not {d}x{d} like the weights"
@@ -177,6 +174,19 @@ class Sl2MatrixModule:
                             f"{name}[{i},{j}] nonzero but weights "
                             f"{w[i]} != {w[j]} {shift:+d}"
                         )
+        _set(self, "X", X)
+        _set(self, "Y", Y)
+        _set(self, "basis_weights", w)
+
+    @classmethod
+    def _trusted(cls, X: RatMatrix, Y: RatMatrix, basis_weights: tuple[int, ...]):
+        """A module whose weight shifts hold by construction, so unchecked;
+        ``tensor_modules`` builds each product from two checked factors."""
+        m = cls.__new__(cls)
+        _set(m, "X", X)
+        _set(m, "Y", Y)
+        _set(m, "basis_weights", basis_weights)
+        return m
 
     @property
     def dim(self) -> int:
@@ -204,13 +214,15 @@ def build_cohomology_module(n: int) -> Sl2MatrixModule:
     return Sl2MatrixModule(X=x, Y=y, basis_weights=weights)
 
 
-@dataclass(frozen=True)
-class RelationCheck:
+class RelationCheck(Record):
     """Exact pass/fail for one bracket relation."""
 
-    relation: str
-    passed: bool
-    max_abs_discrepancy_numerator: int
+    __slots__ = ("relation", "passed", "max_abs_discrepancy_numerator")
+
+    def __init__(self, relation: str, passed: bool, max_abs_discrepancy_numerator: int):
+        _set(self, "relation", relation)
+        _set(self, "passed", passed)
+        _set(self, "max_abs_discrepancy_numerator", max_abs_discrepancy_numerator)
 
     def to_json_dict(self) -> dict:
         return {
@@ -220,9 +232,11 @@ class RelationCheck:
         }
 
 
-@dataclass(frozen=True)
-class BracketReport:
-    checks: tuple[RelationCheck, ...]
+class BracketReport(Record):
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: tuple[RelationCheck, ...]):
+        _set(self, "checks", checks)
 
     @property
     def all_pass(self) -> bool:
@@ -275,12 +289,12 @@ def tensor_modules(a: Sl2MatrixModule, b: Sl2MatrixModule) -> Sl2MatrixModule:
 
     X and Y each become op (x) 1 + 1 (x) op, built row by row, and the
     weights add, which makes H = H (x) 1 + 1 (x) H; so the bracket relations
-    are preserved.  Basis vector (i, k) has index i * b.dim + k.
+    are preserved.  Basis vector (i, k) has index i * b.dim + k.  X (x) 1
+    and 1 (x) X shift the summed weight by 2 wherever a's or b's X does, and
+    likewise for Y, so the product is not checked again.
     """
     weights = tuple(wa + wb for wa in a.basis_weights for wb in b.basis_weights)
-    return Sl2MatrixModule(
-        X=_leibniz(a.X, b.X), Y=_leibniz(a.Y, b.Y), basis_weights=weights
-    )
+    return Sl2MatrixModule._trusted(_leibniz(a.X, b.X), _leibniz(a.Y, b.Y), weights)
 
 
 def _leibniz(p: RatMatrix, q: RatMatrix) -> RatMatrix:

@@ -21,11 +21,11 @@ posed; it takes one forced exact division per factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import accumulate, groupby
 from operator import sub
-from typing import Iterable, Iterator, Sequence
 
+from ._record import Record, _set
 from .exactalg import LaurentPoly, _require_int
 
 
@@ -134,19 +134,17 @@ def _labels(values: Iterable[int]) -> tuple[int, ...]:
     return labels
 
 
-@dataclass(frozen=True)
-class IrrepMultiset:
+class IrrepMultiset(Record):
     """Multiset of irreducible labels, canonically sorted descending.
 
     Label n stands for the (n+1)-dimensional irreducible; a multiset is called
     nontrivial when it contains no label 0.
     """
 
-    labels: tuple[int, ...]
+    __slots__ = ("labels",)
 
-    def __post_init__(self):
-        labels = sorted(_labels(self.labels), reverse=True)
-        object.__setattr__(self, "labels", tuple(labels))
+    def __init__(self, labels: Iterable[int]):
+        _set(self, "labels", tuple(sorted(_labels(labels), reverse=True)))
 
     def counts(self) -> list[tuple[int, int]]:
         """(label, multiplicity) pairs, labels descending."""

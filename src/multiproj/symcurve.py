@@ -25,43 +25,41 @@ so Sym^n of the cohomology is not the cohomology of Sym^n.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from itertools import chain, count, islice
 from operator import add
-from typing import Iterator
 
+from ._record import Record, _set
 from .exactalg import _require_int, binom
 
 
-@dataclass(frozen=True)
-class PoincarePolynomial:
+class PoincarePolynomial(Record):
     """Betti numbers B_0..B_{2n} of a compact space of complex dimension n.
 
     Validates the three structural facts every space here satisfies:
     connectedness (B_0 = 1), nonnegativity, and Poincare duality, on ints.
     """
 
-    betti: tuple[int, ...]
-    n: int
+    __slots__ = ("betti", "n")
 
-    def __post_init__(self):
-        object.__setattr__(self, "betti", tuple(self.betti))
+    def __init__(self, betti: Iterable[int], n: int):
+        b = tuple(betti)
         names = chain(["n"], (f"B_{r}" for r in count()))
-        _require_int(names, (self.n, *self.betti))
-        if self.n < 0:
+        _require_int(names, (n, *b))
+        if n < 0:
             raise ValueError("half-dimension n must be nonnegative")
-        if len(self.betti) != 2 * self.n + 1:
-            raise ValueError(
-                f"need 2n+1 = {2 * self.n + 1} Betti numbers, got {len(self.betti)}"
-            )
-        if min(self.betti) < 0:
+        if len(b) != 2 * n + 1:
+            raise ValueError(f"need 2n+1 = {2 * n + 1} Betti numbers, got {len(b)}")
+        if min(b) < 0:
             raise ValueError("Betti numbers must be nonnegative")
-        if self.betti[0] != 1:
-            raise ValueError(f"B_0 must be 1 (connected space), got {self.betti[0]}")
-        b, m = self.betti, 2 * self.n
+        if b[0] != 1:
+            raise ValueError(f"B_0 must be 1 (connected space), got {b[0]}")
+        m = 2 * n
         if b != b[::-1]:
             r = next(r for r in count() if b[r] != b[m - r])
             raise ValueError(f"duality violated: B_{r} = {b[r]} but B_{m - r} = {b[m - r]}")
+        _set(self, "betti", b)
+        _set(self, "n", n)
 
     def total(self) -> int:
         """Total dimension of cohomology (sum of all Betti numbers)."""
@@ -89,15 +87,19 @@ class DimRelation(enum.Enum):
     STRICTLY_GREATER = "STRICTLY_GREATER"
 
 
-@dataclass(frozen=True)
-class DimensionComparison:
+class DimensionComparison(Record):
     """dim H*(Sym^n C) vs dim Sym^n(H*(C)), with the comparison spelled out."""
 
-    g: int
-    n: int
-    total_dim: int
-    sym_dim: int
-    relation: DimRelation
+    __slots__ = ("g", "n", "total_dim", "sym_dim", "relation")
+
+    def __init__(
+        self, g: int, n: int, total_dim: int, sym_dim: int, relation: DimRelation
+    ):
+        _set(self, "g", g)
+        _set(self, "n", n)
+        _set(self, "total_dim", total_dim)
+        _set(self, "sym_dim", sym_dim)
+        _set(self, "relation", relation)
 
 
 def _check_genus(g: int) -> None:

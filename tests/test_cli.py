@@ -566,10 +566,10 @@ def test_range_refusal_is_one_short_line(capsys, args):
     assert len(err.encode()) <= 200, err
 
 
-# main writes every error line, and cuts a message of more than 192
-# characters to its first 120, "..." and its last 69: a refusal that echoes
-# long input, its own or argparse's, is one line of at most 200 bytes that
-# starts as the whole message would and ends as it does.
+# main writes every error line, and cuts a message of more than 192 bytes
+# of UTF-8 to its first 120, "..." and its last 69: a refusal that echoes
+# long input, its own or argparse's, ASCII or not, is one line of at most
+# 200 bytes that starts as the whole message would and ends as it does.
 LONG_TEXT, LONG_NEGATIVE = "x" * 5000, "-" + "9" * 4100
 
 
@@ -597,10 +597,15 @@ LONG_TEXT, LONG_NEGATIVE = "x" * 5000, "-" + "9" * 4100
          "not a character: coefficient at q^1 (99", "99) differs from q^-1 (0)"),
         (["factor", "--char", " + ".join(f"2*q^{k}" for k in range(500, -501, -1))], 1,
          "not a tensor of nontrivial irreducibles: 2*q^500 + 2*q^499", " + 2*q^-500"),
+        (["classify", "\u00e9" * 5000, "1"], 2, "invalid partition part '\u00e9\u00e9",
+         "\u00e9': not an integer"),
+        (["classify", "\U0001f600" * 5000, "1"], 2,
+         "invalid partition part '\U0001f600\U0001f600", "\U0001f600': not an integer"),
     ],
     ids=["classify-text", "partition-text", "invalid-int", "invalid-choice",
          "negative-genus", "betti-negative-n", "dims-negative-n", "lefschetz-negative",
-         "roundtrip-negative", "not-a-palindrome", "does-not-factor"],
+         "roundtrip-negative", "not-a-palindrome", "does-not-factor", "classify-2-byte",
+         "classify-4-byte"],
 )
 def test_every_error_line_is_bounded(argv, code, start, end):
     got, out, err = main_in_process(argv)
@@ -608,6 +613,21 @@ def test_every_error_line_is_bounded(argv, code, start, end):
     assert err.startswith(f"error: {start}") and err.endswith(f"{end}\n"), err
     assert "..." in err and len(err.splitlines()) == 1
     assert len(err.encode()) <= 200, err
+
+
+# The cut is made in UTF-8 bytes: it keeps a whole prefix and a whole suffix
+# of the message, dropping a character either cut would split, and leaves a
+# message of at most 192 bytes as it is.
+@pytest.mark.parametrize("char", ["x", "\u00e9", "\u20ac", "\U0001f600"])
+@pytest.mark.parametrize("shift", range(4))
+def test_cut_splits_no_character(char, shift):
+    message = "a" * shift + char * 300 + "b" * shift
+    cut = cli._cut(message)
+    head, dots, tail = cut.partition("...")
+    assert dots and message.startswith(head) and message.endswith(tail)
+    assert 192 - 6 <= len(cut.encode()) <= 192
+    short = message[: 192 // len(char.encode())]
+    assert cli._cut(short) == short
 
 
 # A character is held dense from q^N to q^-N, so its degree is checked on

@@ -1,7 +1,6 @@
 """Matrix modules: construction, brackets, tensor products, irreducibility."""
 
 import cProfile
-import dataclasses
 import math
 import pstats
 import random
@@ -154,7 +153,7 @@ def kron_tensor(a, b):
 def with_x(m, factor):
     """m with X scaled by factor (0 zeroes it); the other operators kept."""
     x = {(i, j): factor * v for i in range(m.dim) for j, v in m.X.row_items(i)}
-    return dataclasses.replace(m, X=RatMatrix(m.dim, m.dim, x))
+    return Sl2MatrixModule(RatMatrix(m.dim, m.dim, x), m.Y, m.basis_weights)
 
 
 def sparse_echelon(rows, reduce_row=_reduce_row):
@@ -413,8 +412,7 @@ class TestBuildModule:
 class TestStructuralValidation:
     def test_fields_are_x_y_and_weights(self):
         # H and dim are read off the weights, never passed in
-        names = [f.name for f in dataclasses.fields(Sl2MatrixModule)]
-        assert names == ["X", "Y", "basis_weights"]
+        assert Sl2MatrixModule.__slots__ == ("X", "Y", "basis_weights")
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_h_and_dim_derived_from_weights(self, n):
@@ -477,7 +475,7 @@ class TestBrackets:
 
     def test_zeroed_x_breaks_xy_relation(self):
         good = build_cohomology_module(3)
-        broken = dataclasses.replace(good, X=RatMatrix(good.dim, good.dim))
+        broken = with_x(good, 0)
         report = verify_brackets(broken)
         assert report == product_brackets(broken)
         by_name = {c.relation: c for c in report.checks}
@@ -584,6 +582,14 @@ class TestTensor:
         for parts, k in product(partitions(n), range(4)):
             a, b = tensor_of(parts), build_cohomology_module(k)
             assert tensor_modules(a, b) == kron_tensor(a, b)
+
+    # tensor_modules skips the weight-shift check; the checking constructor
+    # accepts every product it builds, as the same module.
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_product_passes_the_constructor_checks(self, n):
+        for parts in partitions(n):
+            m = tensor_of(parts)
+            assert Sl2MatrixModule(m.X, m.Y, m.basis_weights) == m
 
 
 class TestModuleCharacter:
@@ -777,8 +783,10 @@ class TestEliminator:
         "m",
         [
             with_x(build_cohomology_module(3), 0),
-            dataclasses.replace(
-                build_cohomology_module(3), Y=RatMatrix(4, 4, {(1, 0): 1, (3, 2): 1})
+            Sl2MatrixModule(
+                X=build_cohomology_module(3).X,
+                Y=RatMatrix(4, 4, {(1, 0): 1, (3, 2): 1}),
+                basis_weights=(3, 1, -1, -3),
             ),
             Sl2MatrixModule(
                 X=RatMatrix(4, 4, {(0, 2): 1, (1, 3): 1}),
@@ -869,7 +877,7 @@ class TestIrreducibility:
         # P^3 with Y e_1 = 0: one top line, X unchanged, but the orbit stops
         m = build_cohomology_module(3)
         y = RatMatrix(4, 4, {(1, 0): 1, (3, 2): 1})
-        broken = dataclasses.replace(m, Y=y)
+        broken = Sl2MatrixModule(m.X, y, m.basis_weights)
         assert highest_weight_multiplicities(broken) == {3: 1}
         assert not is_irreducible(broken)
 

@@ -355,6 +355,12 @@ RULES = {
     "test_only_methods": Rule(
         "test_no_test_only_methods", methods_read_only_by_tests, SOURCES
     ),
+    # A result type is a ``_record.Record``: ``dataclasses`` (with the
+    # ``inspect`` and ``ast`` it imports) cost ``import multiproj`` more than
+    # the rest of the package; the tests keep it, as the records' oracle.
+    "dataclasses": Rule(
+        "test_no_dataclasses_import", partial(imports_beyond, "dataclasses", ()), SOURCES
+    ),
 }
 
 
@@ -629,6 +635,14 @@ SNIPPETS = {
         ("kept", "class LaurentPoly:\n    def __add__(self, o): pass", False),
         ("other-class", "class PoincarePolynomial:\n    def total(self): pass", False),
         ("function", "def entry(m, i, j): pass", False),
+    ],
+    "dataclasses": [
+        ("import", "import dataclasses", True),
+        ("from-import", "from dataclasses import dataclass", True),
+        ("aliased-import", "import dataclasses as dc", True),
+        ("aliased-name", "from dataclasses import replace as evolve", True),
+        ("record", "from ._record import Record, _set", False),
+        ("string", "text = 'dataclasses'", False),
     ],
 }
 
