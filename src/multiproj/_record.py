@@ -17,12 +17,27 @@ _set = object.__setattr__  # writes a field past the frozen __setattr__
 
 
 class Record:
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
 
     def __init_subclass__(cls) -> None:
         names = cls.__match_args__ = cls.__slots__
         get = attrgetter(*names)
-        cls._values = staticmethod(get if len(names) > 1 else lambda r: (get(r),))
+        if len(names) > 1:
+            cls._values = staticmethod(get)
+            return
+        # One field: ``get`` reads the field itself, so == and hash read it
+        # directly rather than through a one-field tuple.
+        cls._values = staticmethod(lambda r: (get(r),))
+
+        def __eq__(self, other: object) -> bool:
+            if other.__class__ is self.__class__:
+                return get(self) == get(other)
+            return NotImplemented
+
+        def __hash__(self) -> int:
+            return hash((get(self),))
+
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:

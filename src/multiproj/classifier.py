@@ -46,16 +46,6 @@ class Partition(Record):
             raise ValueError(f"all parts must be positive, got {parts}")
         _set(self, "parts", tuple(sorted(parts, reverse=True)))
 
-    # ``classify`` compares partitions: the field read directly, not through
-    # Record's field tuple.
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.parts,))
-
     @property
     def n(self) -> int:
         """The partitioned number: total dimension of the product space."""

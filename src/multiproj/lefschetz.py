@@ -178,16 +178,6 @@ class Sl2MatrixModule(Record):
         _set(self, "Y", Y)
         _set(self, "basis_weights", w)
 
-    @classmethod
-    def _trusted(cls, X: RatMatrix, Y: RatMatrix, basis_weights: tuple[int, ...]):
-        """A module whose weight shifts hold by construction, so unchecked;
-        ``tensor_modules`` builds each product from two checked factors."""
-        m = cls.__new__(cls)
-        _set(m, "X", X)
-        _set(m, "Y", Y)
-        _set(m, "basis_weights", basis_weights)
-        return m
-
     @property
     def dim(self) -> int:
         return len(self.basis_weights)
@@ -289,12 +279,12 @@ def tensor_modules(a: Sl2MatrixModule, b: Sl2MatrixModule) -> Sl2MatrixModule:
 
     X and Y each become op (x) 1 + 1 (x) op, built row by row, and the
     weights add, which makes H = H (x) 1 + 1 (x) H; so the bracket relations
-    are preserved.  Basis vector (i, k) has index i * b.dim + k.  X (x) 1
-    and 1 (x) X shift the summed weight by 2 wherever a's or b's X does, and
-    likewise for Y, so the product is not checked again.
+    are preserved.  Basis vector (i, k) has index i * b.dim + k.
     """
     weights = tuple(wa + wb for wa in a.basis_weights for wb in b.basis_weights)
-    return Sl2MatrixModule._trusted(_leibniz(a.X, b.X), _leibniz(a.Y, b.Y), weights)
+    return Sl2MatrixModule(
+        X=_leibniz(a.X, b.X), Y=_leibniz(a.Y, b.Y), basis_weights=weights
+    )
 
 
 def _leibniz(p: RatMatrix, q: RatMatrix) -> RatMatrix:

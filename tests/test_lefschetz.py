@@ -583,14 +583,6 @@ class TestTensor:
             a, b = tensor_of(parts), build_cohomology_module(k)
             assert tensor_modules(a, b) == kron_tensor(a, b)
 
-    # tensor_modules skips the weight-shift check; the checking constructor
-    # accepts every product it builds, as the same module.
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_product_passes_the_constructor_checks(self, n):
-        for parts in partitions(n):
-            m = tensor_of(parts)
-            assert Sl2MatrixModule(m.X, m.Y, m.basis_weights) == m
-
 
 class TestModuleCharacter:
     @pytest.mark.parametrize("n", range(0, 51))

@@ -12,6 +12,7 @@ import dataclasses
 import pickle
 import subprocess
 import sys
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -197,6 +198,17 @@ def test_positional_and_keyword_construction(record):
     if len(required) < len(fields):
         short = fields[: len(required)]
         assert oracle(cls(*short)) == ORACLES[cls](*short)
+
+
+@RECORDS
+def test_weak_references_work_but_not_dataclass_tools(record):
+    dc = oracle(record)
+    assert weakref.ref(record)() is record and weakref.ref(dc)() is dc
+    assert not dataclasses.is_dataclass(record)
+    with pytest.raises(TypeError):
+        dataclasses.replace(record)
+    with pytest.raises(TypeError):
+        vars(record)
 
 
 @RECORDS
