@@ -6,7 +6,7 @@ AttributeError.  It compares, hashes, prints and pickles by the tuple of its
 fields, in ``__slots__`` order, as a frozen dataclass with those fields
 would, without the cost of importing ``dataclasses``.  ``pickle``, ``copy``
 and ``deepcopy`` rebuild a record by calling its class on its fields, so the
-checks of its ``__init__`` run again.
+checks of its ``__init__`` run again.  Records accept weak references.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ class Record:
         if len(names) > 1:
             cls._values = staticmethod(get)
             return
-        # One field: ``get`` reads the field itself, so == and hash read it
-        # directly rather than through a one-field tuple.
+        # One field: ``get`` returns the field, not a tuple, so == and hash
+        # call it directly rather than through the lambda that wraps it.
         cls._values = staticmethod(lambda r: (get(r),))
 
         def __eq__(self, other: object) -> bool:
