@@ -19,7 +19,6 @@ import enum
 import re
 import sys
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 
 from ._record import Record, _set
 from .exactalg import _exact, _require_int
@@ -55,7 +54,7 @@ class Partition(Record):
         return ",".join(str(p) for p in self.parts)
 
 
-_TOKEN_SPLIT = re.compile(r"[,\s]+")
+_TOKEN_SPLIT = r"[,\s]+"  # compiled on use, through re's own cache
 
 
 def parse_partition(text: str) -> Partition:
@@ -64,7 +63,7 @@ def parse_partition(text: str) -> Partition:
     >>> parse_partition("1,2,1").parts
     (2, 1, 1)
     """
-    tokens = [tok for tok in _TOKEN_SPLIT.split(text.strip()) if tok]
+    tokens = [tok for tok in re.split(_TOKEN_SPLIT, text.strip()) if tok]
     if not tokens:
         raise ValueError("empty partition text")
     parts = []
@@ -222,6 +221,8 @@ class ProjPoint:
     __slots__ = ("_coords",)
 
     def __init__(self, coords: Sequence[Fraction | int]):
+        from fractions import Fraction  # loaded on first use
+
         coords = tuple(Fraction(_exact(c)) for c in coords)
         if not coords:
             raise ValueError("a projective point needs at least one coordinate")
@@ -253,6 +254,10 @@ class ProjPoint:
 
     def __repr__(self) -> str:
         return f"ProjPoint({list(self._coords)!r})"
+
+    def __reduce__(self) -> tuple:
+        """Pickle and copy rebuild through ``__init__``, whose checks run again."""
+        return self.__class__, (self._coords,)
 
 
 def sym2_p1_map(z: ProjPoint, w: ProjPoint) -> ProjPoint:

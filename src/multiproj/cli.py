@@ -46,11 +46,12 @@ import argparse
 import csv
 import json
 import sys
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import reduce
 from itertools import chain
 from math import comb, prod
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
+from ._record import Record, _set
 from .classifier import Partition, classify, cohomology_character, parse_partition
 from .exactalg import LaurentPoly, _all_int
 from .lefschetz import (
@@ -415,14 +416,24 @@ def _cmd_table(args: argparse.Namespace) -> None:
 # ------------------------------------------------------------------ parser
 
 
-class _Command(NamedTuple):
+class _Command(Record):
     """A subcommand; each argument is a name or flag and its add_argument keywords."""
 
-    name: str
-    handler: Callable[[argparse.Namespace], None]
-    help: str
-    arguments: Sequence[tuple[str, dict]] = ()
-    exclusive: Sequence[tuple[str, dict]] = ()  # a required mutually exclusive group
+    __slots__ = ("name", "handler", "help", "arguments", "exclusive")
+
+    def __init__(
+        self,
+        name: str,
+        handler: Callable[[argparse.Namespace], None],
+        help: str,
+        arguments: Sequence[tuple[str, dict]] = (),
+        exclusive: Sequence[tuple[str, dict]] = (),  # a required mutually exclusive group
+    ):
+        _set(self, "name", name)
+        _set(self, "handler", handler)
+        _set(self, "help", help)
+        _set(self, "arguments", arguments)
+        _set(self, "exclusive", exclusive)
 
 
 _INT = {"type": int, "required": True}

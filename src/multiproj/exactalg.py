@@ -12,7 +12,9 @@ floating point anywhere.  One value type lives here:
 Its values are immutable after construction and every operation is a pure
 function, so they can be shared freely across threads.  Next to it are
 ``binom`` and the package's checks of exact numbers: ``_require_int``, the one
-int check, and ``_exact``, the one int/``Fraction`` check.
+int check, and ``_exact``, the one int/``Fraction`` check, which imports
+``fractions`` only for a value that is not an int, so integer work never
+loads it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import math
 import re
 import sys
 from collections.abc import Collection, Iterable, Iterator, Mapping
-from fractions import Fraction
 from itertools import repeat
 
 
@@ -54,6 +55,8 @@ def _exact(v: object) -> int | Fraction:
     """v as an int when integral, else a Fraction; other types, bool too, are refused."""
     if _is_int(v):
         return v
+    from fractions import Fraction  # loaded on first use: most callers pass ints
+
     if isinstance(v, Fraction):
         return v.numerator if v.denominator == 1 else v
     raise TypeError(f"exact numbers must be int or Fraction, not {type(v).__name__}")
@@ -156,7 +159,12 @@ class LaurentPoly:
     def __repr__(self) -> str:
         return f"LaurentPoly({self._coeffs!r})"
 
-    _TERM_RE = re.compile(
+    def __reduce__(self) -> tuple:
+        """Pickle and copy rebuild through ``__init__``, whose checks run again."""
+        return self.__class__, (dict(self._coeffs),)
+
+    # Compiled on use, through re's own cache, so import compiles no pattern.
+    _TERM_RE = (
         r"\s*(?P<sign>[+-])?\s*(?:"
         r"(?P<coeff>\d+)\s*\*?\s*q(?:\^(?P<cexp>-?\d+))?"  # 2*q^3, 2q, 2*q
         r"|q(?:\^(?P<exp>-?\d+))?"  # q^3, q^-1, q
@@ -170,11 +178,12 @@ class LaurentPoly:
 
         Round trip: ``LaurentPoly.parse(str(p)) == p`` for every ``p``.
         """
+        term = re.compile(cls._TERM_RE).match
         out: dict[int, int] = {}
         pos = 0
         first = True
         while pos < len(text):
-            m = cls._TERM_RE.match(text, pos)
+            m = term(text, pos)
             if m is None:
                 raise ValueError(
                     f"cannot parse Laurent polynomial near {text[pos:pos + 12]!r}"

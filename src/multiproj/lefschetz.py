@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
-from fractions import Fraction
 from itertools import chain
 
 from ._record import Record, _set
@@ -107,6 +106,11 @@ class RatMatrix:
     def __repr__(self) -> str:
         nnz = sum(len(r) for r in self._rows)
         return f"<RatMatrix {self.nrows}x{self.ncols}, {nnz} nonzero>"
+
+    def __reduce__(self) -> tuple:
+        """Pickle and copy rebuild through ``__init__``, whose checks run again."""
+        entries = {(i, j): v for i, row in enumerate(self._rows) for j, v in row.items()}
+        return self.__class__, (self.nrows, self.ncols, entries)
 
 
 def _reduce_row(by_lead: dict[int, dict[int, int]], row: dict[int, int]) -> None:
@@ -333,6 +337,8 @@ def _x_kernel_dims(m: Sl2MatrixModule, spaces: dict[int, list[int]]):
     takes no row once its rank equals its column count, which every block
     below weight 0 of a genuine sl(2)-module reaches.
     """
+    from fractions import Fraction  # loaded on first use
+
     for w in sorted(spaces, reverse=True):
         ncols, by_lead = len(spaces[w]), {}
         for r in spaces.get(w + 2, ()):

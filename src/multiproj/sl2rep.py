@@ -105,6 +105,10 @@ class Character:
     def __repr__(self) -> str:
         return f"Character(poly={self.poly!r})"
 
+    def __reduce__(self) -> tuple:
+        """Pickle and copy rebuild through ``__init__``, whose checks run again."""
+        return self.__class__, (self.poly,)
+
 
 def _validated(coeffs: tuple[int, ...]) -> tuple[int, ...]:
     """Dense coefficients q^N..q^-N, refused unless nonnegative and palindromic."""

@@ -3,8 +3,11 @@
 Each behaves as the frozen dataclass with its fields would: the tests define
 those dataclasses as the oracle and compare the two on printing, equality,
 hashing, frozen fields, construction and the pickle and copy round trips.
-The package itself imports no ``dataclasses``, which ``test_import_footprint``
-checks in a fresh interpreter.
+The package's value types (``RatMatrix``, ``Character``, ``LaurentPoly``,
+``ProjPoint``) take the same round trips.  The package itself imports no
+``dataclasses``, and no ``fractions`` until a value needs it, which
+``test_import_footprint`` and ``test_deferred_paths_in_a_fresh_interpreter``
+check in fresh interpreters.
 """
 
 import copy
@@ -20,7 +23,7 @@ from pathlib import Path
 import pytest
 
 import multiproj
-from multiproj import classifier, lefschetz, sl2rep, symcurve
+from multiproj import classifier, cli, exactalg, lefschetz, sl2rep, symcurve
 from multiproj._record import Record
 
 
@@ -82,6 +85,15 @@ class BracketReport:
     checks: tuple
 
 
+@dataclass(frozen=True)
+class _Command:
+    name: str
+    handler: object
+    help: str
+    arguments: object = ()
+    exclusive: object = ()
+
+
 ORACLES = {
     classifier.Partition: Partition,
     classifier.ClassificationVerdict: ClassificationVerdict,
@@ -91,6 +103,7 @@ ORACLES = {
     lefschetz.Sl2MatrixModule: Sl2MatrixModule,
     lefschetz.RelationCheck: RelationCheck,
     lefschetz.BracketReport: BracketReport,
+    cli._Command: _Command,
 }
 
 
@@ -121,6 +134,8 @@ def samples():
         ("report-fail", lefschetz.verify_brackets(broken)),
         ("check-pass", lefschetz.verify_brackets(p3).checks[0]),
         ("check-fail", lefschetz.verify_brackets(broken).checks[0]),
+        ("command-classify", cli.COMMANDS[0]),
+        ("command-factor", cli.COMMANDS[3]),
     ]
 
 
@@ -211,14 +226,21 @@ def test_weak_references_work_but_not_dataclass_tools(record):
         vars(record)
 
 
-@RECORDS
-@pytest.mark.parametrize("copier", [
-    pytest.param(lambda r: pickle.loads(pickle.dumps(r)), id="pickle"),
-    pytest.param(lambda r: pickle.loads(pickle.dumps(r, pickle.HIGHEST_PROTOCOL)),
-                 id="pickle-highest"),
+def pickler(protocol=None):
+    return lambda r: pickle.loads(pickle.dumps(r, protocol))
+
+
+COPIERS = pytest.mark.parametrize("copier", [
+    pytest.param(pickler(), id="pickle"),
+    pytest.param(pickler(pickle.HIGHEST_PROTOCOL), id="pickle-highest"),
+    *(pytest.param(pickler(p), id=f"pickle-{p}") for p in range(pickle.HIGHEST_PROTOCOL + 1)),
     pytest.param(copy.copy, id="copy"),
     pytest.param(copy.deepcopy, id="deepcopy"),
 ])
+
+
+@RECORDS
+@COPIERS
 def test_round_trips(record, copier):
     got = copier(record)
     assert type(got) is type(record)
@@ -226,26 +248,115 @@ def test_round_trips(record, copier):
     assert repr(copier(oracle(record))) == repr(oracle(record))
 
 
-# ``import multiproj`` in a fresh interpreter loads none of the names; and
-# without ``site`` (-S), whose .pth files may load ``typing`` first, it loads
-# no ``typing`` either.
+def value_samples():
+    """(id, value) pairs of the package's value types, ``__slots__`` classes
+    that are not records."""
+    p3 = lefschetz.build_cohomology_module(3)
+    return [
+        ("matrix-int", p3.X),
+        ("matrix-fraction", lefschetz.RatMatrix(2, 3, {(0, 2): Fraction(1, 2), (1, 0): -4})),
+        ("matrix-empty", lefschetz.RatMatrix(0, 0)),
+        ("character", sl2rep.irrep_character(3)),
+        ("character-zero", sl2rep.Character(exactalg.LaurentPoly())),
+        ("laurent", exactalg.LaurentPoly({3: 2, -1: -5})),
+        ("laurent-zero", exactalg.LaurentPoly()),
+        ("point", classifier.ProjPoint((1, Fraction(-2, 3), 0))),
+    ]
+
+
+@pytest.mark.parametrize("value", [v for _, v in value_samples()],
+                         ids=[name for name, _ in value_samples()])
+@COPIERS
+def test_value_round_trips(value, copier):
+    got = copier(value)
+    assert type(got) is type(value)
+    assert got == value and str(got) == str(value) and repr(got) == repr(value)
+
+
+def test_value_round_trips_rebuild_through_the_constructor():
+    bad = sl2rep.Character._from_dense((1, 0, 2))  # not palindromic
+    with pytest.raises(ValueError, match="not a character"):
+        copy.copy(bad)
+
+
+# Importing the module named by argv[2] in a fresh interpreter loads none of
+# the names; without ``site`` (-S), whose .pth files may load ``typing``
+# first, it loads no ``typing`` either.  ``fractions`` (with ``decimal`` and
+# ``numbers``) loads on the first value that is not an int.
 FOOTPRINT = (
     "import sys\n"
     "sys.path.insert(0, sys.argv[1])\n"
     "before = set(sys.modules)\n"
-    "import multiproj\n"
+    "__import__(sys.argv[2])\n"
     "print(*sorted(set(sys.modules) - before))\n"
+)
+LAZY = {"dataclasses", "inspect", "fractions", "decimal", "numbers"}
+
+
+def package_root():
+    return str(Path(multiproj.__file__).parent.parent)
+
+
+@pytest.mark.parametrize("flags,module,absent", [
+    ((), "multiproj", LAZY),
+    (("-S",), "multiproj", LAZY | {"typing"}),
+    (("-S",), "multiproj.cli", LAZY | {"typing"}),
+], ids=["site", "no-site", "cli-no-site"])
+def test_import_footprint(flags, module, absent):
+    proc = subprocess.run([sys.executable, *flags, "-c", FOOTPRINT, package_root(), module],
+                          capture_output=True, text=True, check=True)
+    loaded = set(proc.stdout.split())
+    assert module in loaded and "multiproj.classifier" in loaded
+    assert loaded & absent == set()
+
+
+# ``show(exprs)`` prints what each expression returns or raises.  A fresh
+# ``-S`` interpreter runs it before anything has loaded ``fractions``, so each
+# path that imports ``fractions`` on first use is that first use (or, for the
+# parsers, compiles its pattern on first use); this interpreter runs it too,
+# as the oracle.
+SHOW = (
+    "from multiproj import *\n"
+    "from multiproj.exactalg import _exact\n"
+    "def halved(n):  # H*(P^n) with X halved: Fraction entries\n"
+    "    from fractions import Fraction\n"
+    "    m = build_cohomology_module(n)\n"
+    "    x = {(i, j): Fraction(v, 2) for i in range(m.dim) for j, v in m.X.row_items(i)}\n"
+    "    return Sl2MatrixModule(RatMatrix(m.dim, m.dim, x), m.Y, m.basis_weights)\n"
+    "def show(exprs):\n"
+    "    for expr in exprs:\n"
+    "        try:\n"
+    "            print(repr(eval(expr)))\n"
+    "        except (TypeError, ValueError) as exc:\n"
+    "            print(type(exc).__name__, exc)\n"
+)
+FRESH = (
+    "import sys\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "exec(sys.argv[2])\n"
+    "assert 'fractions' not in sys.modules\n"
+    "show(sys.argv[3:])\n"
 )
 
 
-@pytest.mark.parametrize("flags,absent", [
-    ((), {"dataclasses", "inspect"}),
-    (("-S",), {"dataclasses", "inspect", "typing"}),
-], ids=["site", "no-site"])
-def test_import_footprint(flags, absent):
-    root = str(Path(multiproj.__file__).parent.parent)
-    proc = subprocess.run([sys.executable, *flags, "-c", FOOTPRINT, root],
+@pytest.mark.parametrize("exprs", [
+    ["_exact(7)", "_exact(1.5)", "_exact(True)", "halved(2).X"],
+    ["ProjPoint((1, 2)) == ProjPoint((2, 4))", "ProjPoint((3, 0, -6))",
+     "ProjPoint((0, 0))", "ProjPoint((1.5, 1))", "ProjPoint(())"],
+    ['LaurentPoly.parse("q^2 + 2 + q^-2")', 'LaurentPoly.parse("2*q^3 - q - 5*q^-3")',
+     'LaurentPoly.parse("q^2 2")', 'LaurentPoly.parse("q^x")', 'LaurentPoly.parse("")',
+     'parse_partition("2 1,1")', 'parse_partition(" 3 ,, 1\t2 ")', 'parse_partition("2 x")',
+     'parse_partition(" , ")', 'parse_partition("0")', 'parse_partition("1" * 5000)'],
+    ["highest_weight_multiplicities(build_cohomology_module(4))",
+     "highest_weight_multiplicities(halved(4))", "is_irreducible(halved(3))",
+     "highest_weight_multiplicities(tensor_modules(halved(2), build_cohomology_module(1)))"],
+], ids=["exact", "point", "parsers", "multiplicities"])
+def test_deferred_paths_in_a_fresh_interpreter(exprs, capsys):
+    namespace = {}
+    exec(SHOW, namespace)
+    namespace["show"](exprs)
+    expected = capsys.readouterr().out
+    proc = subprocess.run([sys.executable, "-S", "-c", FRESH, package_root(), SHOW, *exprs],
                           capture_output=True, text=True, check=True)
-    loaded = set(proc.stdout.split())
-    assert "multiproj.classifier" in loaded
-    assert loaded & absent == set()
+    assert proc.stdout == expected
+    assert len(expected.splitlines()) == len(exprs)
