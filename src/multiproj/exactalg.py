@@ -13,8 +13,7 @@ Its values are immutable after construction and every operation is a pure
 function, so they can be shared freely across threads.  Next to it are
 ``binom`` and the package's checks of exact numbers: ``_require_int``, the one
 int check, and ``_exact``, the one int/``Fraction`` check, which imports
-``fractions`` only for a value that is not an int, so integer work never
-loads it.
+``fractions`` only for a value that is not an int.
 """
 
 from __future__ import annotations
