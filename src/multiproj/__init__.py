@@ -10,101 +10,47 @@ products of curves that show why the method is specific to genus zero.
 
 All arithmetic is exact (big integers and rationals); there is no floating
 point anywhere in the package.
-"""
 
-from .classifier import (
-    ClassificationVerdict,
-    Partition,
-    ProjPoint,
-    Reason,
-    Verdict,
-    classify,
-    cohomology_character,
-    parse_partition,
-    poincare_of_multiprojective,
-    sym2_p1_map,
-)
-from .exactalg import LaurentPoly, binom
-from .lefschetz import (
-    BracketReport,
-    RatMatrix,
-    RelationCheck,
-    Sl2MatrixModule,
-    build_cohomology_module,
-    highest_weight_multiplicities,
-    is_irreducible,
-    module_character,
-    tensor_modules,
-    verify_brackets,
-)
-from .sl2rep import (
-    Character,
-    FactorizationError,
-    IrrepMultiset,
-    clebsch_gordan_decompose,
-    factor_tensor_of_irreps,
-    irrep_character,
-    partitions,
-    tensor_character,
-    tensor_irreps_character,
-)
-from .symcurve import (
-    DimensionComparison,
-    DimRelation,
-    PoincarePolynomial,
-    betti_closed,
-    compare_dimensions,
-    dim_sym_of_cohomology,
-    genus_obstruction_report,
-    poincare_genus_zero,
-    poincare_polynomial,
-    poincare_via_series,
-    total_dim_cohomology,
-)
+``import multiproj`` runs no submodule.  Each public name, and each of the
+five submodules, is imported on first access (PEP 562) and then bound here,
+so a caller pays only for the submodules it uses.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BracketReport",
-    "Character",
-    "ClassificationVerdict",
-    "DimensionComparison",
-    "DimRelation",
-    "FactorizationError",
-    "IrrepMultiset",
-    "LaurentPoly",
-    "Partition",
-    "PoincarePolynomial",
-    "ProjPoint",
-    "RatMatrix",
-    "Reason",
-    "RelationCheck",
-    "Sl2MatrixModule",
-    "Verdict",
-    "betti_closed",
-    "binom",
-    "build_cohomology_module",
-    "classify",
-    "clebsch_gordan_decompose",
-    "cohomology_character",
-    "compare_dimensions",
-    "dim_sym_of_cohomology",
-    "factor_tensor_of_irreps",
-    "genus_obstruction_report",
-    "highest_weight_multiplicities",
-    "irrep_character",
-    "is_irreducible",
-    "module_character",
-    "parse_partition",
-    "partitions",
-    "poincare_genus_zero",
-    "poincare_of_multiprojective",
-    "poincare_polynomial",
-    "poincare_via_series",
-    "sym2_p1_map",
-    "tensor_character",
-    "tensor_irreps_character",
-    "tensor_modules",
-    "total_dim_cohomology",
-    "verify_brackets",
-]
+# Each submodule and the public names it defines.
+_SUBMODULES = {
+    "classifier": "ClassificationVerdict Partition ProjPoint Reason Verdict classify"
+                  " cohomology_character parse_partition poincare_of_multiprojective sym2_p1_map",
+    "exactalg": "LaurentPoly binom",
+    "lefschetz": "BracketReport RatMatrix RelationCheck Sl2MatrixModule build_cohomology_module"
+                 " highest_weight_multiplicities is_irreducible module_character tensor_modules"
+                 " verify_brackets",
+    "sl2rep": "Character FactorizationError IrrepMultiset clebsch_gordan_decompose"
+              " factor_tensor_of_irreps irrep_character partitions tensor_character"
+              " tensor_irreps_character",
+    "symcurve": "DimensionComparison DimRelation PoincarePolynomial betti_closed"
+                " compare_dimensions dim_sym_of_cohomology genus_obstruction_report"
+                " poincare_genus_zero poincare_polynomial poincare_via_series"
+                " total_dim_cohomology",
+}
+_OWNER = {name: module for module, names in _SUBMODULES.items() for name in names.split()}
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name):
+    owner = name if name in _SUBMODULES else _OWNER.get(name)
+    if owner is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import sys
+
+    __import__(f"{__name__}.{owner}")
+    value = sys.modules[f"{__name__}.{owner}"]
+    if name != owner:
+        value = getattr(value, name)
+    globals()[name] = value  # later lookups find it without calling here
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_SUBMODULES, *__all__})

@@ -43,8 +43,6 @@ keeping, so the limit stays at 200000.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import reduce
@@ -139,6 +137,8 @@ def _emit(args: argparse.Namespace, doc, rows: Iterable, text: str | None = None
         for _ in doc:
             pass
     elif args.format == "json":
+        import json  # loaded per format: the table format needs neither json nor csv
+
         sys.stdout.writelines(layout(doc, ""))
         sys.stdout.write("\n")
     elif args.format == "table" and text is not None:
@@ -147,6 +147,8 @@ def _emit(args: argparse.Namespace, doc, rows: Iterable, text: str | None = None
         first = next(rows := iter(rows))
         rows = chain([first], rows)
         if args.format == "csv":
+            import csv
+
             writer = csv.DictWriter(sys.stdout, list(first), lineterminator="\n")
             writer.writeheader()
             writer.writerows(rows)

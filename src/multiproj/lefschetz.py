@@ -26,6 +26,7 @@ time, so no whole-matrix product is ever formed.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain
@@ -333,12 +334,12 @@ def _x_kernel_dims(m: Sl2MatrixModule, spaces: dict[int, list[int]]):
     its block on weight w; each leads at its largest column, in a tensor
     module at r plus the stride of r's first factor not at its lowest weight,
     so most rows lead at distinct columns and fill-in stays small.  A row
-    holding a Fraction is scaled by the lcm of its denominators.  A block
-    takes no row once its rank equals its column count, which every block
-    below weight 0 of a genuine sl(2)-module reaches.
+    holding a Fraction is scaled by the lcm of its denominators; none exists
+    before ``fractions`` is loaded, so an all-int module never loads it.  A
+    block takes no row once its rank equals its column count, which every
+    block below weight 0 of a genuine sl(2)-module reaches.
     """
-    from fractions import Fraction  # loaded on first use
-
+    Fraction = getattr(sys.modules.get("fractions"), "Fraction", None)
     for w in sorted(spaces, reverse=True):
         ncols, by_lead = len(spaces[w]), {}
         for r in spaces.get(w + 2, ()):

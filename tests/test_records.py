@@ -4,10 +4,12 @@ Each behaves as the frozen dataclass with its fields would: the tests define
 those dataclasses as the oracle and compare the two on printing, equality,
 hashing, frozen fields, construction and the pickle and copy round trips.
 The package's value types (``RatMatrix``, ``Character``, ``LaurentPoly``,
-``ProjPoint``) take the same round trips.  The package itself imports no
-``dataclasses``, and no ``fractions`` until a value needs it, which
-``test_import_footprint`` and ``test_deferred_paths_in_a_fresh_interpreter``
-check in fresh interpreters.
+``ProjPoint``) take the same round trips.  ``import multiproj`` runs no
+submodule, each name loading its own on first use; the package imports no
+``dataclasses``, and no ``fractions`` until a value needs it.
+``test_import_footprint``, ``test_lazy_namespace_in_a_fresh_interpreter`` and
+``test_deferred_paths_in_a_fresh_interpreter`` check these in fresh
+interpreters.
 """
 
 import copy
@@ -283,7 +285,9 @@ def test_value_round_trips_rebuild_through_the_constructor():
 # Importing the module named by argv[2] in a fresh interpreter loads none of
 # the names; without ``site`` (-S), whose .pth files may load ``typing``
 # first, it loads no ``typing`` either.  ``fractions`` (with ``decimal`` and
-# ``numbers``) loads on the first value that is not an int.
+# ``numbers``) loads on the first value that is not an int.  ``import
+# multiproj`` loads no submodule, and ``multiproj.cli`` loads ``json`` and
+# ``csv`` only when those formats are written.
 FOOTPRINT = (
     "import sys\n"
     "sys.path.insert(0, sys.argv[1])\n"
@@ -301,14 +305,63 @@ def package_root():
 @pytest.mark.parametrize("flags,module,absent", [
     ((), "multiproj", LAZY),
     (("-S",), "multiproj", LAZY | {"typing"}),
-    (("-S",), "multiproj.cli", LAZY | {"typing"}),
+    (("-S",), "multiproj.cli", LAZY | {"typing", "json", "csv"}),
 ], ids=["site", "no-site", "cli-no-site"])
 def test_import_footprint(flags, module, absent):
     proc = subprocess.run([sys.executable, *flags, "-c", FOOTPRINT, package_root(), module],
                           capture_output=True, text=True, check=True)
     loaded = set(proc.stdout.split())
-    assert module in loaded and "multiproj.classifier" in loaded
+    assert module in loaded
+    if module == "multiproj":
+        assert {m for m in loaded if m.startswith("multiproj.")} == set()
     assert loaded & absent == set()
+
+
+# After a bare ``import multiproj`` in a fresh interpreter, the checks named
+# by argv[2:] run in that order: every public name and every submodule
+# resolves, on first access, to the object its submodule defines and stays
+# bound in the package; ``from multiproj import *`` binds exactly ``__all__``.
+NAMESPACE = (
+    "import sys\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "import multiproj\n"
+    "SUBMODULES = ('classifier', 'exactalg', 'lefschetz', 'sl2rep', 'symcurve')\n"
+    "assert not {*multiproj.__all__, *SUBMODULES} & set(vars(multiproj))\n"
+    "assert {*multiproj.__all__, *SUBMODULES} <= set(dir(multiproj))\n"
+    "def names():\n"
+    "    for name in multiproj.__all__:\n"
+    "        obj = getattr(multiproj, name)\n"
+    "        assert vars(multiproj)[name] is obj\n"
+    "        assert obj.__module__ in {'multiproj.' + sub for sub in SUBMODULES}, name\n"
+    "        assert getattr(sys.modules[obj.__module__], name) is obj, name\n"
+    "def submodules():\n"
+    "    for sub in SUBMODULES:\n"
+    "        assert getattr(multiproj, sub) is sys.modules['multiproj.' + sub], sub\n"
+    "        assert vars(multiproj)[sub] is sys.modules['multiproj.' + sub], sub\n"
+    "def star():\n"
+    "    namespace = {}\n"
+    "    exec('from multiproj import *', namespace)\n"
+    "    assert namespace.keys() - {'__builtins__'} == set(multiproj.__all__)\n"
+    "def nope():\n"
+    "    try:\n"
+    "        multiproj.nope\n"
+    "    except AttributeError as exc:\n"
+    "        print(exc)\n"
+    "for check in sys.argv[2:]:\n"
+    "    globals()[check]()\n"
+    "print(len(multiproj.__all__))\n"
+)
+
+
+@pytest.mark.parametrize("order", [
+    ("nope", "names", "submodules", "star"),
+    ("submodules", "star", "names", "nope"),
+    ("star", "nope", "names", "submodules"),
+], ids=["names-first", "submodules-first", "star-first"])
+def test_lazy_namespace_in_a_fresh_interpreter(order):
+    proc = subprocess.run([sys.executable, "-S", "-c", NAMESPACE, package_root(), *order],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "module 'multiproj' has no attribute 'nope'\n42\n"
 
 
 # ``show(exprs)`` prints what each expression returns or raises.  A fresh
@@ -337,22 +390,27 @@ FRESH = (
     "exec(sys.argv[2])\n"
     "assert 'fractions' not in sys.modules\n"
     "show(sys.argv[3:])\n"
+    "print('fractions' in sys.modules, file=sys.stderr)\n"
 )
 
 
-@pytest.mark.parametrize("exprs", [
-    ["_exact(7)", "_exact(1.5)", "_exact(True)", "halved(2).X"],
-    ["ProjPoint((1, 2)) == ProjPoint((2, 4))", "ProjPoint((3, 0, -6))",
-     "ProjPoint((0, 0))", "ProjPoint((1.5, 1))", "ProjPoint(())"],
-    ['LaurentPoly.parse("q^2 + 2 + q^-2")', 'LaurentPoly.parse("2*q^3 - q - 5*q^-3")',
-     'LaurentPoly.parse("q^2 2")', 'LaurentPoly.parse("q^x")', 'LaurentPoly.parse("")',
-     'parse_partition("2 1,1")', 'parse_partition(" 3 ,, 1\t2 ")', 'parse_partition("2 x")',
-     'parse_partition(" , ")', 'parse_partition("0")', 'parse_partition("1" * 5000)'],
-    ["highest_weight_multiplicities(build_cohomology_module(4))",
-     "highest_weight_multiplicities(halved(4))", "is_irreducible(halved(3))",
-     "highest_weight_multiplicities(tensor_modules(halved(2), build_cohomology_module(1)))"],
-], ids=["exact", "point", "parsers", "multiplicities"])
-def test_deferred_paths_in_a_fresh_interpreter(exprs, capsys):
+@pytest.mark.parametrize("exprs,loads_fractions", [
+    (["_exact(7)", "_exact(1.5)", "_exact(True)", "halved(2).X"], True),
+    (["ProjPoint((1, 2)) == ProjPoint((2, 4))", "ProjPoint((3, 0, -6))",
+      "ProjPoint((0, 0))", "ProjPoint((1.5, 1))", "ProjPoint(())"], True),
+    (['LaurentPoly.parse("q^2 + 2 + q^-2")', 'LaurentPoly.parse("2*q^3 - q - 5*q^-3")',
+      'LaurentPoly.parse("q^2 2")', 'LaurentPoly.parse("q^x")', 'LaurentPoly.parse("")',
+      'parse_partition("2 1,1")', 'parse_partition(" 3 ,, 1\t2 ")', 'parse_partition("2 x")',
+      'parse_partition(" , ")', 'parse_partition("0")', 'parse_partition("1" * 5000)'], False),
+    (["highest_weight_multiplicities(build_cohomology_module(4))",
+      "highest_weight_multiplicities(halved(4))", "is_irreducible(halved(3))",
+      "highest_weight_multiplicities(tensor_modules(halved(2), build_cohomology_module(1)))"],
+     True),
+    (["is_irreducible(build_cohomology_module(7))",
+      "highest_weight_multiplicities(tensor_modules(*map(build_cohomology_module, (2, 1))))",
+      "module_character(build_cohomology_module(3))"], False),
+], ids=["exact", "point", "parsers", "multiplicities", "all-int"])
+def test_deferred_paths_in_a_fresh_interpreter(exprs, loads_fractions, capsys):
     namespace = {}
     exec(SHOW, namespace)
     namespace["show"](exprs)
@@ -361,3 +419,18 @@ def test_deferred_paths_in_a_fresh_interpreter(exprs, capsys):
                           capture_output=True, text=True, check=True)
     assert proc.stdout == expected
     assert len(expected.splitlines()) == len(exprs)
+    assert proc.stderr == f"{loads_fractions}\n"  # whether ``fractions`` is loaded at the end
+
+
+def test_fraction_subclass_entries_are_stored_as_fraction():
+    class F(Fraction):
+        pass
+
+    assert type(exactalg._exact(F(1, 2))) is Fraction and exactalg._exact(F(1, 2)) == F(1, 2)
+    assert type(exactalg._exact(F(4, 2))) is int and exactalg._exact(F(4, 2)) == 2
+    m = lefschetz.build_cohomology_module(3)
+    x = {(i, j): F(v, 2) for i in range(m.dim) for j, v in m.X.row_items(i)}
+    halved = lefschetz.Sl2MatrixModule(lefschetz.RatMatrix(m.dim, m.dim, x), m.Y, m.basis_weights)
+    assert {type(v) for i in range(m.dim) for _, v in halved.X.row_items(i)} == {int, Fraction}
+    assert lefschetz.highest_weight_multiplicities(halved) == {3: 1}
+    assert lefschetz.is_irreducible(halved)
