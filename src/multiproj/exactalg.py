@@ -57,7 +57,7 @@ def _exact(v: object) -> int | Fraction:
     from fractions import Fraction  # loaded on first use: most callers pass ints
 
     if isinstance(v, Fraction):
-        return v.numerator if v.denominator == 1 else Fraction(v)  # a subclass's too
+        return v.numerator if v.denominator == 1 else Fraction(v)  # exact, for a subclass too
     raise TypeError(f"exact numbers must be int or Fraction, not {type(v).__name__}")
 
 
