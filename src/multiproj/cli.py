@@ -32,12 +32,11 @@ Every number betti, dims and table print is at most dim Sym^n(H*(C)) =
 C(2g+n+1, n) (the dims comparison), so the digit limits are checked on the
 digits of that binomial, and on 2n + 1 times them for a row.
 
-The lefschetz-check limit bounds memory.  The brackets are checked one row
-at a time, so the module's own X and Y set the peak: 1.0 KB of RSS per basis
-vector for six factors, up to 1.9 KB for seventeen (CPython 3.11; 132 MB at
-``--partition 6,6,6,6,6,6``, 267 MB at seventeen 1s).  A module at the limit
-peaks near 0.35 GB (342 MB at 1^6 4^5, dimension 200000), a ceiling worth
-keeping, so the limit stays at 200000.
+The lefschetz-check limit bounds memory.  The module is built in one pass and
+its brackets checked one row at a time, so its own X and Y set the peak: 1.0
+to 1.4 KB of RSS per basis vector for six to seventeen factors, in any order
+(CPython 3.11: 122 MB at 6^6, 190 MB at 1^17, 243 MB at 4^5 1^6, dimension
+200000, the limit, which stays: a ceiling near 0.25 GB is worth keeping).
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from functools import reduce
 from itertools import chain
 from math import comb, prod
 
@@ -358,7 +356,7 @@ def _cmd_lefschetz_check(args: argparse.Namespace) -> None:
             f"module of dimension {_shown(dim)} exceeds the "
             f"{_MODULE_DIM_LIMIT}-dimension guard"
         )
-    module = reduce(tensor_modules, map(build_cohomology_module, parts))
+    module = tensor_modules(*map(build_cohomology_module, parts))
     expect_irreducible = len(parts) == 1
     report = verify_brackets(module)
     char = module_character(module)

@@ -19,8 +19,8 @@ verification, character extraction, Kuenneth tensor products and the
 irreducibility test (kernel of X plus the Y-orbit of a highest-weight vector)
 are all exact; the ranks of X's weight blocks come from one sparse
 primitive-row elimination over the integers, stopped at each block's full
-rank.  The brackets are checked and the tensor products built one row at a
-time, so no whole-matrix product is ever formed.
+rank.  The brackets are checked one row at a time, so no matrix product is
+ever formed, and a tensor product is built in one pass over all its factors.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ import math
 import sys
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
-from itertools import chain
+from itertools import accumulate, chain, product, repeat
+from operator import mul
 
 from ._record import Record, _set
 from .exactalg import LaurentPoly, _exact, _require_int
@@ -279,40 +280,39 @@ def verify_brackets(m: Sl2MatrixModule) -> BracketReport:
     )
 
 
-def tensor_modules(a: Sl2MatrixModule, b: Sl2MatrixModule) -> Sl2MatrixModule:
-    """Kuenneth tensor product, operators acting by the Leibniz rule.
+def tensor_modules(first: Sl2MatrixModule, *rest: Sl2MatrixModule) -> Sl2MatrixModule:
+    """Kuenneth tensor product of the factors, operators by the Leibniz rule.
 
-    X and Y each become op (x) 1 + 1 (x) op, built row by row, and the
-    weights add, which makes H = H (x) 1 + 1 (x) H; so the bracket relations
-    are preserved.  Basis vector (i, k) has index i * b.dim + k.
+    X and Y each become the sum over the factors of 1 (x) .. op .. (x) 1, and
+    the weights add, so H does too and the brackets are kept.  One pass over
+    the product basis (last factor fastest) joins, in factor order, each
+    factor's row i_t with column j moved by (j - i_t) * (product of the later
+    factors' dimensions): the leading factors' rows once per combination, the
+    last factor's row by row.  No partial product is formed, and no two parts
+    share a column (that needs a diagonal entry, which Sl2MatrixModule refuses).
+    One factor is returned as it is.
     """
-    weights = tuple(wa + wb for wa in a.basis_weights for wb in b.basis_weights)
-    return Sl2MatrixModule(
-        X=_leibniz(a.X, b.X), Y=_leibniz(a.Y, b.Y), basis_weights=weights
-    )
-
-
-def _leibniz(p: RatMatrix, q: RatMatrix) -> RatMatrix:
-    """p (x) 1 + 1 (x) q for square p and q, one row at a time.
-
-    Row (i, k) is p's row i at columns j * dim_q + k, then q's row k written
-    into it at columns i * dim_q + l; q's rows are read as item tuples once.
-    The two parts never share a column, since that needs j = i: X and Y shift
-    the weight by 2, so they have no diagonal entries (Sl2MatrixModule
-    enforces it).
-    """
-    dq = q.nrows
-    q_items = [tuple(q_row.items()) for q_row in q._rows]
-    rows = []
-    for i, p_row in enumerate(p._rows):
-        strided = [(j * dq, v) for j, v in p_row.items()]
-        base = i * dq
-        for k, items in enumerate(q_items):
-            row = {j + k: v for j, v in strided}
-            for l, v in items:
-                row[base + l] = v
-            rows.append(row)
-    return RatMatrix._from_rows(p.ncols * dq, rows)
+    if not rest:
+        return first
+    factors = (first, *rest)
+    strides = [*accumulate(reversed([f.dim for f in rest]), mul, initial=1)][::-1]
+    ops = []
+    for name in ("X", "Y"):
+        *lead, last = [
+            [tuple([((j - i) * s, v) for j, v in row.items()])
+             for i, row in enumerate(getattr(f, name)._rows)]
+            for f, s in zip(factors, strides)
+        ]
+        rows = []
+        r = 0
+        for lead_row in map(sum, product(*lead), repeat(())):
+            for shifts in last:
+                rows.append({r + c: v for c, v in lead_row + shifts})
+                r += 1
+        ops.append(RatMatrix._from_rows(r, rows))
+    *lead, last = (f.basis_weights for f in factors)
+    weights = tuple([w + v for w in map(sum, product(*lead)) for v in last])
+    return Sl2MatrixModule(*ops, weights)
 
 
 def module_character(m: Sl2MatrixModule) -> Character:

@@ -12,7 +12,6 @@ import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import reduce
 
 from multiproj.classifier import (
     Partition,
@@ -66,7 +65,7 @@ def criterion(number, description, budget_seconds=None):
 
 
 def tensor_of(parts):
-    return reduce(tensor_modules, (build_cohomology_module(k) for k in parts))
+    return tensor_modules(*map(build_cohomology_module, parts))
 
 
 def test_criterion_01_examples_table():

@@ -6,24 +6,23 @@ with and without ``--quiet``, plus the usage and domain errors.  Each runs
 ``tests/golden/help.json`` holds the ``--help`` text of ``multiproj`` and of
 each command, at ``COLUMNS=80`` (argparse wraps to the terminal width).
 
-Re-record both files after an intended change of output:
+``tests/replay_golden.py`` replays both files without pytest, so that any
+interpreter can check them.  Re-record both files after an intended change
+of output:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
 
-import io
 import json
 import os
-from contextlib import redirect_stderr, redirect_stdout
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from multiproj import cli
+from replay_golden import GOLDEN, HELP_GOLDEN, load, run
 from test_acceptance import _CLI_CASES
-
-GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
-HELP_GOLDEN = GOLDEN.with_name("help.json")
 
 ERRORS = [
     ["lefschetz-check", "3", "--partition", "2,1"],
@@ -56,22 +55,6 @@ HELP = [["--help"]] + [[name, "--help"] for name in (
     "classify", "betti", "dims", "factor", "lefschetz-check", "table")]
 
 
-def run(argv):
-    """``cli.main(argv)`` in-process: exit code, stdout and stderr."""
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = cli.main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
-    return {"argv": list(argv), "exit": code,
-            "stdout": out.getvalue(), "stderr": err.getvalue()}
-
-
-def load(path):
-    return json.loads(path.read_text())["cases"] if path.exists() else []
-
-
 CASES, HELP_CASES = load(GOLDEN), load(HELP_GOLDEN)
 
 
@@ -92,6 +75,21 @@ def test_help_golden_covers_every_command():
 def test_help_matches_golden(case, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     assert run(case["argv"]) == case
+
+
+def test_replay_script_matches():
+    # the pytest-free replay, as another interpreter runs it
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).with_name("replay_golden.py"))],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    total = len(CASES) + len(HELP_CASES)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    assert proc.stdout == f"{total} of {total} golden cases match\n"
 
 
 def record():

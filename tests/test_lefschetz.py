@@ -9,7 +9,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, product
+from itertools import accumulate, combinations, product
 
 import pytest
 
@@ -37,7 +37,7 @@ from multiproj.sl2rep import (
 
 
 def tensor_of(parts):
-    return reduce(tensor_modules, (build_cohomology_module(k) for k in parts))
+    return tensor_modules(*map(build_cohomology_module, parts))
 
 
 # The whole-matrix algebra RatMatrix had before verify_brackets and
@@ -583,6 +583,58 @@ class TestTensor:
             a, b = tensor_of(parts), build_cohomology_module(k)
             assert tensor_modules(a, b) == kron_tensor(a, b)
 
+    @pytest.mark.parametrize("n", range(0, 7))
+    def test_factors_match_kron_chain(self, n):
+        # every partition of n, with up to two P^0 factors mixed in; the one
+        # pass also keeps each row's entries in the pairwise chain's order
+        for parts, zeros in product(partitions(n), range(3)):
+            size = len(parts) + zeros
+            for at in combinations(range(size), zeros):
+                rest = iter(parts)
+                ks = [0 if t in at else next(rest) for t in range(size)]
+                if not ks:
+                    continue
+                factors = [build_cohomology_module(k) for k in ks]
+                t = tensor_modules(*factors)
+                assert t == reduce(kron_tensor, factors), ks
+                pairwise = reduce(tensor_modules, factors)
+                for op, by_pairs in ((t.X, pairwise.X), (t.Y, pairwise.Y)):
+                    items = [list(row.items()) for row in op._rows]
+                    assert items == [list(row.items()) for row in by_pairs._rows], ks
+
+    @pytest.mark.parametrize("factor", [0, 1, Fraction(1, 2), Fraction(2, 3)])
+    @pytest.mark.parametrize("parts", [(3,), (5,), (2, 1), (1, 1, 1), (4, 2), (3, 3)])
+    def test_broken_factors_match_kron_chain(self, parts, factor):
+        factors = [
+            with_x(tensor_of(parts), factor),
+            build_cohomology_module(2),
+            with_x(build_cohomology_module(1), factor),
+        ]
+        assert tensor_modules(*factors) == reduce(kron_tensor, factors)
+
+    @pytest.mark.parametrize("factor", [1, 0, Fraction(1, 2)])
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_one_factor_is_itself(self, n, factor):
+        m = with_x(build_cohomology_module(n), factor)
+        assert tensor_modules(m) == m
+
+    def test_no_factor_refused(self):
+        with pytest.raises(TypeError):
+            tensor_modules()
+
+    def test_no_intermediate_product_held(self):
+        # the pairwise chain holds the 2048-dimensional product beside the
+        # 4096-dimensional one; the one pass holds only its own rows
+        factors = [build_cohomology_module(1)] * 12
+        tracemalloc.start()
+        try:
+            m = tensor_modules(*factors)
+            size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert m.dim == 4096
+        assert peak - size < size / 4
+
 
 class TestModuleCharacter:
     @pytest.mark.parametrize("n", range(0, 51))
@@ -627,13 +679,12 @@ class TestHighestWeight:
 # The library twin of tests/test_cli.py::test_large_input_finishes, under the
 # same 10 s subprocess timeout (about 13 s with the dense Bareiss eliminator).
 LARGE_TENSOR = """
-from functools import reduce
 from multiproj.lefschetz import (
     build_cohomology_module, highest_weight_multiplicities, module_character,
     tensor_modules,
 )
 from multiproj.sl2rep import clebsch_gordan_decompose
-m = reduce(tensor_modules, map(build_cohomology_module, (4, 4, 4, 4, 4)))
+m = tensor_modules(*map(build_cohomology_module, (4, 4, 4, 4, 4)))
 cg = clebsch_gordan_decompose(module_character(m))
 assert highest_weight_multiplicities(m) == dict(cg.counts())
 print(m.dim)
@@ -654,14 +705,13 @@ def test_large_tensor_multiplicities_finish():
 # Together these take 15-17 s with the blocks' columns in ascending basis
 # order, and about 2 s in descending order (see _x_kernel_dims).
 LARGER_TENSORS = """
-from functools import reduce
 from multiproj.lefschetz import (
     build_cohomology_module, highest_weight_multiplicities, module_character,
     tensor_modules,
 )
 from multiproj.sl2rep import clebsch_gordan_decompose
 for parts in ((6, 6, 6, 6, 6), (4, 4, 4, 4, 4, 4)):
-    m = reduce(tensor_modules, map(build_cohomology_module, parts))
+    m = tensor_modules(*map(build_cohomology_module, parts))
     cg = clebsch_gordan_decompose(module_character(m))
     assert highest_weight_multiplicities(m) == dict(cg.counts()), parts
     print(m.dim)
