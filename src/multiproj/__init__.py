@@ -23,16 +23,16 @@ _SUBMODULES = {
     "classifier": "ClassificationVerdict Partition ProjPoint Reason Verdict classify"
                   " cohomology_character parse_partition poincare_of_multiprojective sym2_p1_map",
     "exactalg": "LaurentPoly binom",
-    "lefschetz": "BracketReport RatMatrix RelationCheck Sl2MatrixModule build_cohomology_module"
-                 " highest_weight_multiplicities is_irreducible module_character tensor_modules"
-                 " verify_brackets",
+    "lefschetz": "BracketReport LefschetzReport RatMatrix RelationCheck Sl2MatrixModule"
+                 " build_cohomology_module highest_weight_multiplicities is_irreducible"
+                 " lefschetz_check module_character tensor_modules verify_brackets",
     "sl2rep": "Character FactorizationError IrrepMultiset clebsch_gordan_decompose"
               " factor_tensor_of_irreps irrep_character partitions tensor_character"
-              " tensor_irreps_character",
+              " tensor_irreps_character verify_roundtrip",
     "symcurve": "DimensionComparison DimRelation PoincarePolynomial betti_closed"
-                " compare_dimensions dim_sym_of_cohomology genus_obstruction_report"
-                " poincare_genus_zero poincare_polynomial poincare_via_series"
-                " total_dim_cohomology",
+                " compare_dimensions dim_sym_of_cohomology dimension_table"
+                " genus_obstruction_report poincare_genus_zero poincare_polynomial"
+                " poincare_via_series total_dim_cohomology",
 }
 _OWNER = {name: module for module, names in _SUBMODULES.items() for name in names.split()}
 __all__ = sorted(_OWNER)

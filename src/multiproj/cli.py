@@ -3,17 +3,22 @@
 The commands are the entries of ``COMMANDS``, whose help texts say what each
 does.  Each takes ``--format {table,json,csv}`` (default: table) and
 ``--quiet`` (suppress stdout, keep the exit code).  Output is deterministic:
-the same invocation always produces byte-identical stdout.
+the same invocation always produces byte-identical stdout.  A handler parses
+its arguments, makes one library call for its result and formats it:
+``classify``, ``poincare_polynomial`` (betti), ``compare_dimensions`` (dims),
+``factor_tensor_of_irreps`` or ``verify_roundtrip`` (factor),
+``lefschetz_check`` and ``dimension_table`` (table).
 
 Exit codes: 0 = result computed (including NON_ISOMORPHIC verdicts -- the
 answer to a question is not an error); 1 = domain failure (e.g. a character
 with no factorization into nontrivial irreducibles, or a failed expectation
-in lefschetz-check, after its report); 2 = usage or parse error.  Each error,
+in lefschetz-check, after its report) or a failed write to stdout (a closed
+pipe, a full disk, a closed stdout); 2 = usage or parse error.  Each error,
 argparse's too, is one ``error: ...`` line on stderr of at most 200 bytes of
 UTF-8 (``_cut`` keeps a longer message's start and end around ``...``, and
-splits no character), and ``main``
-alone returns the exit code (only ``--help`` raises ``SystemExit``).  Requests
-over a size limit are usage errors, each sized by what it would print:
+splits no character), and ``main`` alone returns the exit code (only
+``--help`` raises ``SystemExit``).  Requests over a size limit are usage
+errors, each sized by what it would print:
 
 * ``table``: more than 10^4 cells;
 * ``betti`` and every ``table`` cell: a Betti row of more than 4001 numbers
@@ -42,6 +47,8 @@ to 1.4 KB of RSS per basis vector for six to seventeen factors, in any order
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain
@@ -50,23 +57,9 @@ from math import comb, prod
 from ._record import Record, _set
 from .classifier import Partition, classify, cohomology_character, parse_partition
 from .exactalg import LaurentPoly, _all_int
-from .lefschetz import (
-    build_cohomology_module,
-    is_irreducible,
-    module_character,
-    tensor_modules,
-    verify_brackets,
-)
-from .sl2rep import (
-    Character,
-    FactorizationError,
-    factor_tensor_of_irreps,
-    irrep_character,
-    partitions,
-    tensor_character,
-    tensor_irreps_character,
-)
-from .symcurve import _compare, _poincare_rows, compare_dimensions, poincare_polynomial
+from .lefschetz import lefschetz_check
+from .sl2rep import Character, FactorizationError, factor_tensor_of_irreps, verify_roundtrip
+from .symcurve import compare_dimensions, dimension_table, poincare_polynomial
 
 
 class _UsageError(Exception):
@@ -74,7 +67,7 @@ class _UsageError(Exception):
 
 
 class _CheckFailed(Exception):
-    """A command's own check of a library answer failed: reported on stderr, exit 1."""
+    """A library report names a failed check: reported on stderr, exit 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,7 +101,9 @@ def _emit(args: argparse.Namespace, doc, rows: Iterable, text: str | None = None
     written as empty; the table format is ``text``, or without it ``rows``
     padded into columns under their keys.  ``rows`` may be any iterable,
     read only by CSV and the table format; ``--quiet`` reads ``doc`` to its
-    end and writes nothing, so a generator's checks still run.
+    end and writes nothing, so a generator's checks still run.  The output
+    is flushed at the end, so a write that fails raises OSError here, a
+    closed stdout (``None``) included.
     """
 
     def layout(o, pad):
@@ -131,32 +126,37 @@ def _emit(args: argparse.Namespace, doc, rows: Iterable, text: str | None = None
             opening = sep
         yield "\n" + pad + ends[1] if opening == sep else ends
 
+    out = sys.stdout
     if args.quiet:
         for _ in doc:
             pass
-    elif args.format == "json":
+        return
+    if out is None:
+        raise OSError(errno.EBADF, "stdout is closed")
+    if args.format == "json":
         import json  # loaded per format: the table format needs neither json nor csv
 
-        sys.stdout.writelines(layout(doc, ""))
-        sys.stdout.write("\n")
+        out.writelines(layout(doc, ""))
+        out.write("\n")
     elif args.format == "table" and text is not None:
-        sys.stdout.write(text + "\n")
+        out.write(text + "\n")
     else:
         first = next(rows := iter(rows))
         rows = chain([first], rows)
         if args.format == "csv":
             import csv
 
-            writer = csv.DictWriter(sys.stdout, list(first), lineterminator="\n")
+            writer = csv.DictWriter(out, list(first), lineterminator="\n")
             writer.writeheader()
             writer.writerows(rows)
         else:  # the column widths need every cell before the first line
             cells = [list(first), *([str(v) for v in row.values()] for row in rows)]
             widths = [max(map(len, column)) for column in zip(*cells)]
-            sys.stdout.writelines(
+            out.writelines(
                 "  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() + "\n"
                 for line in cells
             )
+    out.flush()
 
 
 def _partition(text: str) -> Partition:
@@ -280,9 +280,20 @@ def _cmd_dims(args: argparse.Namespace) -> None:
 # ------------------------------------------------------------------ factor
 
 
+_ROUNDTRIP_LIMIT = 25
+
+
 def _cmd_factor(args: argparse.Namespace) -> None:
-    if args.roundtrip is not None:
-        _factor_roundtrip(args)
+    if (limit := args.roundtrip) is not None:
+        if limit < 1:
+            raise _UsageError(f"--roundtrip bound must be >= 1, got {limit}")
+        if limit > _ROUNDTRIP_LIMIT:
+            raise _UsageError(
+                f"--roundtrip bound {_shown(limit)} exceeds the limit of {_ROUNDTRIP_LIMIT}"
+            )
+        verified = verify_roundtrip(limit)  # a mismatch raises FactorizationError: exit 1
+        doc = {"limit": limit, "verified": verified, "ok": True}
+        _emit(args, doc, [doc], f"verified {verified} factorizations with sum <= {limit}")
         return
     if args.partition is not None:
         p = _partition(args.partition)
@@ -312,31 +323,6 @@ def _cmd_factor(args: argparse.Namespace) -> None:
     _emit(args, doc, rows, str(factors))
 
 
-_ROUNDTRIP_LIMIT = 25
-
-
-def _factor_roundtrip(args: argparse.Namespace) -> None:
-    limit = args.roundtrip
-    if limit < 1:
-        raise _UsageError(f"--roundtrip bound must be >= 1, got {limit}")
-    if limit > _ROUNDTRIP_LIMIT:
-        raise _UsageError(
-            f"--roundtrip bound {_shown(limit)} exceeds the limit of {_ROUNDTRIP_LIMIT}"
-        )
-    verified = 0
-    for n in range(1, limit + 1):
-        for labels in partitions(n):
-            character = tensor_character([irrep_character(k) for k in labels])
-            recovered = factor_tensor_of_irreps(character)
-            if recovered.labels != labels:
-                raise _CheckFailed(
-                    f"round-trip failure: {labels} factored as {recovered}"
-                )
-            verified += 1
-    doc = {"limit": limit, "verified": verified, "ok": True}
-    _emit(args, doc, [doc], f"verified {verified} factorizations with sum <= {limit}")
-
-
 # -------------------------------------------------------- lefschetz-check
 
 
@@ -356,31 +342,14 @@ def _cmd_lefschetz_check(args: argparse.Namespace) -> None:
             f"module of dimension {_shown(dim)} exceeds the "
             f"{_MODULE_DIM_LIMIT}-dimension guard"
         )
-    module = tensor_modules(*map(build_cohomology_module, parts))
-    expect_irreducible = len(parts) == 1
-    report = verify_brackets(module)
-    char = module_character(module)
-    char_ok = char == tensor_irreps_character(parts)
-    irreducible = is_irreducible(module)
-    passed = {c.relation: c.passed for c in report.checks}
-    passed.update(character_matches=char_ok, irreducible=irreducible == expect_irreducible)
-    failed = [name for name, good in passed.items() if not good]
-    doc = {
-        "input": ",".join(map(str, parts)),
-        "dim": module.dim,
-        "checks": [c.to_json_dict() for c in report.checks],
-        "character": str(char),
-        "character_matches": char_ok,
-        "irreducible": irreducible,
-        "expected_irreducible": expect_irreducible,
-        "ok": not failed,
-    }
-    lines = [f"{c.relation}: {'pass' if c.passed else 'FAIL'}" for c in report.checks]
-    lines.append(f"character: {char}")
+    report = lefschetz_check(parts)
+    doc = report.to_json_dict()
+    lines = [f"{c['relation']}: {'pass' if c['pass'] else 'FAIL'}" for c in doc["checks"]]
+    lines.append(f"character: {doc['character']}")
     for key in ("character_matches", "irreducible", "expected_irreducible"):
         lines.append(f"{key}: {str(doc[key]).lower()}")
     _emit(args, doc, doc["checks"], "\n".join(lines))
-    if failed:
+    if failed := report.failed:
         raise _CheckFailed(f"module {doc['input']} failed: {', '.join(failed)}")
 
 
@@ -402,11 +371,9 @@ def _cmd_table(args: argparse.Namespace) -> None:
     _check_size(g_range[-1], n_range[-1], row=True)  # the largest cell
 
     def cells():
-        for g in g_range:
-            for pp in _poincare_rows(g, n_range):  # one series expansion per genus
-                dims = _compare(g, pp.n, pp.total())  # the sum _poincare_rows checked
-                yield {"g": g, "n": pp.n, "betti": pp.betti, "total_dim": dims.total_dim,
-                       "sym_dim": dims.sym_dim, "relation": dims.relation.value}
+        for pp, dims in dimension_table(g_range, n_range):
+            yield {"g": dims.g, "n": dims.n, "betti": pp.betti, "total_dim": dims.total_dim,
+                   "sym_dim": dims.sym_dim, "relation": dims.relation.value}
 
     # each generator computes the table as it is read, and _emit reads one
     rows = ({**c, "betti": ",".join(map(str, c["betti"]))} for c in cells())
@@ -417,9 +384,13 @@ def _cmd_table(args: argparse.Namespace) -> None:
 
 
 class _Command(Record):
-    """A subcommand; each argument is a name or flag and its add_argument keywords."""
+    """A subcommand; each argument is a name or flag and its add_argument keywords.
 
-    __slots__ = ("name", "handler", "help", "arguments", "exclusive")
+    ``usage``, if given, is the usage text, which then reads the same under
+    every argparse (3.13's wraps a long usage line at another place).
+    """
+
+    __slots__ = ("name", "handler", "help", "arguments", "exclusive", "usage")
 
     def __init__(
         self,
@@ -428,16 +399,21 @@ class _Command(Record):
         help: str,
         arguments: Sequence[tuple[str, dict]] = (),
         exclusive: Sequence[tuple[str, dict]] = (),  # a required mutually exclusive group
+        usage: str | None = None,
     ):
         _set(self, "name", name)
         _set(self, "handler", handler)
         _set(self, "help", help)
         _set(self, "arguments", arguments)
         _set(self, "exclusive", exclusive)
+        _set(self, "usage", usage)
 
 
 _INT = {"type": int, "required": True}
 _RANGE = {"required": True, "help": "range a..b or single value"}
+# betti's and table's usage, wrapped where argparse 3.10 to 3.12 wraps it
+_USAGE = ("%(prog)s [-h] [--format {table,json,csv}] [--quiet] --genus\n"
+          "                       GENUS --n N")
 
 COMMANDS = (
     _Command("classify", _cmd_classify,
@@ -446,7 +422,8 @@ COMMANDS = (
               ("partition2", {"help": "second partition, e.g. 1,1,1"})]),
     _Command("betti", _cmd_betti, "Betti numbers of Sym^n of a genus-g curve",
              [("--genus", _INT), ("--n", _INT),
-              ("--sum", {"action": "store_true", "help": "emit only the total dimension"})]),
+              ("--sum", {"action": "store_true", "help": "emit only the total dimension"})],
+             usage=_USAGE + " [--sum]"),
     _Command("dims", _cmd_dims, "compare dim H*(Sym^n C) with dim Sym^n(H*(C))",
              [("--genus", _INT), ("--n", _INT)]),
     _Command("factor", _cmd_factor, "recover the irreducible tensor factors of a character",
@@ -462,7 +439,7 @@ COMMANDS = (
                  ("--partition", {"help": "check the tensor module of a product instead"})]),
     _Command("table", _cmd_table,
              "bulk table of Betti numbers and dimension comparisons over (g, n) ranges",
-             [("--genus", _RANGE), ("--n", _RANGE)]),
+             [("--genus", _RANGE), ("--n", _RANGE)], usage=_USAGE),
 )
 
 
@@ -478,7 +455,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command in COMMANDS:
-        p = sub.add_parser(command.name, parents=[common], help=command.help)
+        p = sub.add_parser(command.name, parents=[common], help=command.help,
+                           usage=command.usage)
         p.set_defaults(handler=command.handler)
         for flag, keywords in command.arguments:
             p.add_argument(flag, **keywords)
@@ -502,10 +480,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         args.handler(args)
+        return 0
     except (_UsageError, FactorizationError, _CheckFailed) as exc:
-        sys.stderr.write(f"error: {_cut(str(exc))}\n")
-        return 2 if isinstance(exc, _UsageError) else 1
-    return 0
+        message, code = str(exc), 2 if isinstance(exc, _UsageError) else 1
+    except OSError as exc:  # stdout failed; what it took stays written
+        # fd 1 on os.devnull: the interpreter's flush at exit drops the rest
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        message, code = f"cannot write output: {exc.strerror or exc}", 1
+    if sys.stderr is not None:
+        sys.stderr.write(f"error: {_cut(message)}\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -21,6 +21,8 @@ are all exact; the ranks of X's weight blocks come from one sparse
 primitive-row elimination over the integers, stopped at each block's full
 rank.  The brackets are checked one row at a time, so no matrix product is
 ever formed, and a tensor product is built in one pass over all its factors.
+``lefschetz_check`` runs every check on the cohomology module of a product of
+projective spaces and returns the verdict as a ``LefschetzReport``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from operator import mul
 
 from ._record import Record, _set
 from .exactalg import LaurentPoly, _exact, _require_int
-from .sl2rep import Character
+from .sl2rep import Character, tensor_irreps_character
 
 
 class RatMatrix:
@@ -386,3 +388,74 @@ def is_irreducible(m: Sl2MatrixModule) -> bool:
         w -= 2
         vec = m.Y._apply(spaces.get(w, ()), vec)
     return count == m.dim
+
+
+class LefschetzReport(Record):
+    """The checks of the cohomology module of P^{n_1} x ... x P^{n_r}.
+
+    ``brackets`` holds the three bracket relations, ``character`` the weight
+    character, ``character_matches`` whether it equals the product of the
+    factors' irreducible characters, and ``irreducible`` the rank test's
+    answer, which only a single factor should give.  The module itself is
+    not kept.
+    """
+
+    __slots__ = ("parts", "dim", "brackets", "character", "character_matches",
+                 "irreducible")
+
+    def __init__(
+        self,
+        parts: tuple[int, ...],
+        dim: int,
+        brackets: BracketReport,
+        character: Character,
+        character_matches: bool,
+        irreducible: bool,
+    ):
+        _set(self, "parts", parts)
+        _set(self, "dim", dim)
+        _set(self, "brackets", brackets)
+        _set(self, "character", character)
+        _set(self, "character_matches", character_matches)
+        _set(self, "irreducible", irreducible)
+
+    @property
+    def expected_irreducible(self) -> bool:
+        return len(self.parts) == 1
+
+    @property
+    def failed(self) -> tuple[str, ...]:
+        """The names of the failed checks: the relations, then the character
+        and irreducibility expectations."""
+        passed = {c.relation: c.passed for c in self.brackets.checks}
+        passed.update(character_matches=self.character_matches,
+                      irreducible=self.irreducible == self.expected_irreducible)
+        return tuple(name for name, good in passed.items() if not good)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "input": ",".join(map(str, self.parts)),
+            "dim": self.dim,
+            "checks": [c.to_json_dict() for c in self.brackets.checks],
+            "character": str(self.character),
+            "character_matches": self.character_matches,
+            "irreducible": self.irreducible,
+            "expected_irreducible": self.expected_irreducible,
+            "ok": not self.failed,
+        }
+
+
+def lefschetz_check(parts: Iterable[int]) -> LefschetzReport:
+    """Check the Kuenneth product of the modules H*(P^n), n in ``parts``.
+
+    Its brackets, its character against ``tensor_irreps_character(parts)``,
+    and its irreducibility, in that order; the module is dropped on return.
+    """
+    parts = tuple(parts)
+    if not parts:
+        raise ValueError("lefschetz_check needs at least one factor")
+    m = tensor_modules(*map(build_cohomology_module, parts))
+    brackets = verify_brackets(m)
+    char = module_character(m)
+    matches = char == tensor_irreps_character(parts)
+    return LefschetzReport(parts, m.dim, brackets, char, matches, is_irreducible(m))

@@ -278,6 +278,28 @@ def factor_tensor_of_irreps(c: Character) -> IrrepMultiset:
     return found
 
 
+def verify_roundtrip(limit: int) -> int:
+    """Factor every tensor of nontrivial irreducibles whose labels sum to at
+    most ``limit``; return how many were factored.
+
+    Each character is built by the sparse :func:`tensor_character`, the route
+    independent of the peel's dense rebuild, and must factor back into its
+    own labels, or a FactorizationError names the first that did not.
+    """
+    _require_int("limit", (limit,))
+    verified = 0
+    for n in range(1, limit + 1):
+        for labels in partitions(n):
+            character = tensor_character([irrep_character(k) for k in labels])
+            recovered = factor_tensor_of_irreps(character)
+            if recovered.labels != labels:
+                raise FactorizationError(
+                    f"round-trip failure: {labels} factored as {recovered}"
+                )
+            verified += 1
+    return verified
+
+
 def _peel_q_integers(c: Character) -> IrrepMultiset | None:
     """The labels found by peeling P = q^N c (1 - x)^r, or None if a step fails.
 

@@ -251,6 +251,29 @@ def compare_dimensions(g: int, n: int) -> DimensionComparison:
     return _compare(g, n, _total_dim(g, n))
 
 
+def dimension_table(
+    genera: range, ns: range
+) -> Iterator[tuple[PoincarePolynomial, DimensionComparison]]:
+    """Each cell (g, n) of two step-1 ranges, g then n: the checked Poincare
+    polynomial of Sym^n(C) and its dimension comparison.
+
+    One series expansion per genus, to the largest n; each comparison takes
+    the Betti sum of its row, which the row's check matched against the
+    dimension formula.  The ranges are checked when called; the cells are
+    computed as they are read.
+    """
+    for r, what, least in ((genera, "genus", 0), (ns, "n", 1)):
+        if not r:
+            raise ValueError(f"empty {what} range {r}")
+        if r.step != 1:
+            raise ValueError(f"{what} range {r} must have step 1")
+        if r[0] < least:
+            raise ValueError(f"{what} must be >= {least}, got {r[0]}")
+    return (
+        (pp, _compare(g, pp.n, pp.total())) for g in genera for pp in _poincare_rows(g, ns)
+    )
+
+
 def genus_obstruction_report(g: int, n: int) -> DimensionComparison:
     """Compare dim H*(Sym^n C) with dim Sym^n(H*(C)) for n >= 2.
 

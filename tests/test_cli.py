@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from jsonschema import validate
 
-from multiproj import cli
+from multiproj import cli, lefschetz, sl2rep
 from multiproj.sl2rep import IrrepMultiset
 from multiproj.symcurve import total_dim_cohomology
 
@@ -485,6 +485,51 @@ def test_widest_json_table_finishes(tmp_path):
         149236715, "9f3502302f85cd6d59bc64a5ebac6c179a5f214eba713917dae4594037ae6cee"
     )
 
+
+# A write to stdout that fails (a reader that closed the pipe, a closed
+# stdout, a full disk) ends in one error line and exit 1, not a traceback,
+# and what was written before it stays written.
+TABLE = ["table", "--genus", "0..3", "--n", "1..300", "--format"]
+FIRST_LINE = {"csv": b"g,n,betti,total_dim,sym_dim,relation\n", "json": b"[\n"}
+
+
+def multiproj(argv, **kwargs):
+    return subprocess.Popen([sys.executable, "-m", "multiproj", *argv],
+                            stderr=subprocess.PIPE, **kwargs)
+
+
+def one_error_line(proc, timeout=10):
+    err = proc.communicate(timeout=timeout)[1].decode()
+    assert proc.returncode == 1, err
+    assert "Traceback" not in err and len(err.splitlines()) <= 1, err
+    return err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_closed_pipe_is_one_error_line(fmt):
+    proc = multiproj([*TABLE, fmt], stdout=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()  # the reader stops, as ``head -1`` does
+    assert first == FIRST_LINE[fmt]
+    assert one_error_line(proc) == "error: cannot write output: Broken pipe\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_closed_stdout_is_one_error_line(fmt):
+    proc = multiproj([*TABLE, fmt], preexec_fn=lambda: os.close(1))
+    assert one_error_line(proc) == "error: cannot write output: stdout is closed\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [[*TABLE, "csv"], [*TABLE, "json"],
+                                  ["betti", "--genus", "1", "--n", "2"]],
+                         ids=["csv", "json", "betti"])
+def test_full_disk_is_one_error_line(argv):
+    with open("/dev/full", "wb") as full:
+        proc = multiproj(argv, stdout=full)
+    assert one_error_line(proc) == "error: cannot write output: No space left on device\n"
+
+
 # Requests over a size limit are refused before any work is done.
 @pytest.mark.parametrize(
     "args",
@@ -728,6 +773,7 @@ def unreachable(*args):
     raise AssertionError("a usage error reached the library")
 
 
+
 # Each usage error, argparse's or a handler's, is one line returned by main,
 # found before any computation starts.
 @pytest.mark.parametrize(
@@ -758,8 +804,8 @@ def unreachable(*args):
          "table-negative-genus"],
 )
 def test_usage_error_is_one_returned_line(monkeypatch, argv, message):
-    for name in ("poincare_polynomial", "compare_dimensions", "_poincare_rows",
-                 "factor_tensor_of_irreps", "build_cohomology_module", "classify"):
+    for name in ("classify", "poincare_polynomial", "compare_dimensions", "dimension_table",
+                 "factor_tensor_of_irreps", "verify_roundtrip", "lefschetz_check"):
         monkeypatch.setattr(cli, name, unreachable)
     code, out, err = main_in_process(argv)
     assert (code, out) == (2, "")
@@ -768,7 +814,7 @@ def test_usage_error_is_one_returned_line(monkeypatch, argv, message):
 
 
 def test_roundtrip_mismatch_is_one_error_line(monkeypatch):
-    monkeypatch.setattr(cli, "factor_tensor_of_irreps", lambda c: IrrepMultiset((0,)))
+    monkeypatch.setattr(sl2rep, "factor_tensor_of_irreps", lambda c: IrrepMultiset((0,)))
     assert main_in_process(["factor", "--roundtrip", "3"]) == (
         1, "", "error: round-trip failure: (1,) factored as 0\n"
     )
@@ -777,7 +823,7 @@ def test_roundtrip_mismatch_is_one_error_line(monkeypatch):
 # A failed expectation of lefschetz-check still prints its report, then one
 # error line that names the module and the check that failed.
 def test_failed_lefschetz_check_is_one_error_line(monkeypatch):
-    monkeypatch.setattr(cli, "is_irreducible", lambda module: False)
+    monkeypatch.setattr(lefschetz, "is_irreducible", lambda module: False)
     report = (
         "XY-YX=H: pass\n"
         "HX-XH=2X: pass\n"

@@ -6,8 +6,8 @@ with and without ``--quiet``, plus the usage and domain errors.  Each runs
 ``tests/golden/help.json`` holds the ``--help`` text of ``multiproj`` and of
 each command, at ``COLUMNS=80`` (argparse wraps to the terminal width).
 
-``tests/replay_golden.py`` replays both files without pytest, so that any
-interpreter can check them.  Re-record both files after an intended change
+``tests/replay_golden.py`` replays both files, and runs README's library
+example, without pytest, so that any interpreter can check them.  Re-record both files after an intended change
 of output:
 
     PYTHONPATH=src python tests/test_cli_golden.py

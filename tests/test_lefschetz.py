@@ -1,6 +1,7 @@
 """Matrix modules: construction, brackets, tensor products, irreducibility."""
 
 import cProfile
+import json
 import math
 import pstats
 import random
@@ -10,9 +11,11 @@ import tracemalloc
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, combinations, product
+from pathlib import Path
 
 import pytest
 
+from multiproj import lefschetz
 from multiproj.lefschetz import (
     BracketReport,
     RatMatrix,
@@ -24,6 +27,7 @@ from multiproj.lefschetz import (
     build_cohomology_module,
     highest_weight_multiplicities,
     is_irreducible,
+    lefschetz_check,
     module_character,
     tensor_modules,
     verify_brackets,
@@ -948,3 +952,49 @@ class TestHardLefschetz:
                 vec = apply(m.Y, vec)
             # both weight spaces are lines, so bijection == nonzero image
             assert vec.get(dst, 0) != 0
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
+
+
+class TestLefschetzCheck:
+    @pytest.mark.parametrize(
+        "parts",
+        [(n,) for n in range(9)] + [p for n in range(1, 7) for p in partitions(n)],
+        ids=str,
+    )
+    def test_every_check_passes(self, parts):
+        report = lefschetz_check(parts)
+        assert report.failed == ()
+        assert report.irreducible is (len(parts) == 1)
+        assert report.dim == math.prod(k + 1 for k in parts)
+        assert report.brackets == verify_brackets(tensor_of(parts))
+
+    @pytest.mark.parametrize("argv,parts", [
+        (["lefschetz-check", "25", "--format", "json"], (25,)),
+        (["lefschetz-check", "--partition", "2,1", "--format", "json"], (2, 1)),
+    ], ids=["25", "2,1"])
+    def test_json_is_the_golden_document(self, argv, parts):
+        case = next(c for c in json.loads(GOLDEN.read_text())["cases"] if c["argv"] == argv)
+        assert lefschetz_check(parts).to_json_dict() == json.loads(case["stdout"])
+
+    def test_an_unexpected_reduction_fails_only_irreducible(self, monkeypatch):
+        monkeypatch.setattr(lefschetz, "is_irreducible", lambda module: False)
+        report = lefschetz_check((3,))
+        assert report.failed == ("irreducible",)
+        assert report.to_json_dict()["ok"] is False
+
+    def test_failed_names_the_checks_in_order(self, monkeypatch):
+        broken = BracketReport(tuple(
+            RelationCheck(c.relation, False, 1) for c in verify_brackets(tensor_of((1,))).checks
+        ))
+        monkeypatch.setattr(lefschetz, "verify_brackets", lambda module: broken)
+        monkeypatch.setattr(lefschetz, "tensor_irreps_character", lambda parts: None)
+        monkeypatch.setattr(lefschetz, "is_irreducible", lambda module: True)
+        assert lefschetz_check((2, 1)).failed == (
+            "XY-YX=H", "HX-XH=2X", "HY-YH=-2Y", "character_matches", "irreducible"
+        )
+
+    def test_refuses_no_factors(self):
+        with pytest.raises(ValueError, match="at least one factor"):
+            lefschetz_check(())

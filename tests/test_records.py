@@ -88,12 +88,23 @@ class BracketReport:
 
 
 @dataclass(frozen=True)
+class LefschetzReport:
+    parts: tuple
+    dim: int
+    brackets: object
+    character: object
+    character_matches: bool
+    irreducible: bool
+
+
+@dataclass(frozen=True)
 class _Command:
     name: str
     handler: object
     help: str
     arguments: object = ()
     exclusive: object = ()
+    usage: object = None
 
 
 ORACLES = {
@@ -105,6 +116,7 @@ ORACLES = {
     lefschetz.Sl2MatrixModule: Sl2MatrixModule,
     lefschetz.RelationCheck: RelationCheck,
     lefschetz.BracketReport: BracketReport,
+    lefschetz.LefschetzReport: LefschetzReport,
     cli._Command: _Command,
 }
 
@@ -136,8 +148,11 @@ def samples():
         ("report-fail", lefschetz.verify_brackets(broken)),
         ("check-pass", lefschetz.verify_brackets(p3).checks[0]),
         ("check-fail", lefschetz.verify_brackets(broken).checks[0]),
+        ("lefschetz-p3", lefschetz.lefschetz_check((3,))),
+        ("lefschetz-21", lefschetz.lefschetz_check((2, 1))),
         ("command-classify", cli.COMMANDS[0]),
         ("command-factor", cli.COMMANDS[3]),
+        ("command-betti", cli.COMMANDS[1]),
     ]
 
 
@@ -361,7 +376,7 @@ NAMESPACE = (
 def test_lazy_namespace_in_a_fresh_interpreter(order):
     proc = subprocess.run([sys.executable, "-S", "-c", NAMESPACE, package_root(), *order],
                           capture_output=True, text=True, check=True)
-    assert proc.stdout == "module 'multiproj' has no attribute 'nope'\n42\n"
+    assert proc.stdout == "module 'multiproj' has no attribute 'nope'\n46\n"
 
 
 # ``show(exprs)`` prints what each expression returns or raises.  A fresh

@@ -387,3 +387,24 @@ def test_dimension_multiplicativity(labels):
 def test_factorization_round_trip_random(labels):
     c = tensor_character([irrep_character(k) for k in labels])
     assert factor_tensor_of_irreps(c) == IrrepMultiset(tuple(labels))
+
+
+class TestVerifyRoundtrip:
+    @pytest.mark.parametrize("limit", range(0, 13))
+    def test_counts_every_partition_up_to_the_limit(self, limit):
+        expected = sum(len(list(recursive_partitions(n))) for n in range(1, limit + 1))
+        assert sl2rep.verify_roundtrip(limit) == expected
+
+    def test_all_2713_up_to_20(self):
+        assert sl2rep.verify_roundtrip(20) == 2713
+
+    def test_mismatch_raises_the_round_trip_message(self, monkeypatch):
+        monkeypatch.setattr(sl2rep, "factor_tensor_of_irreps", lambda c: IrrepMultiset((0,)))
+        message = r"^round-trip failure: \(1,\) factored as 0$"
+        with pytest.raises(FactorizationError, match=message):
+            sl2rep.verify_roundtrip(3)
+
+    @pytest.mark.parametrize("limit", [2.0, True, "3"])
+    def test_refuses_a_non_int_limit(self, limit):
+        with pytest.raises(TypeError):
+            sl2rep.verify_roundtrip(limit)

@@ -211,6 +211,19 @@ def int_checks(nodes):
     return lines
 
 
+def private_names(modules, nodes):
+    """Line numbers of ``from m import _x`` and ``m._x``, for m in ``modules``."""
+    lines = []
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").rpartition(".")[2] in modules:
+                lines += [node.lineno for a in node.names if a.name.startswith("_")]
+        elif isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            if getattr(node.value, "id", None) in modules:
+                lines.append(node.lineno)
+    return lines
+
+
 def powers_of_ten(nodes):
     """Line numbers of ``10 ** x`` and ``pow(10, ...)``."""
     lines = []
@@ -330,13 +343,21 @@ RULES = {
     ),
     # The command line prints the rows and comparisons ``symcurve`` checked;
     # ``betti_closed`` or ``total_dim_cohomology`` there would re-derive them.
-    # ``_compare`` takes the total of a checked row and derives no Betti number.
+    # ``dimension_table`` pairs each checked row with its comparison.
     "symcurve_beyond_rows": Rule(
         "test_cli_takes_only_checked_rows_from_symcurve",
         partial(imports_beyond, "symcurve", {
-            "_compare", "_poincare_rows", "compare_dimensions", "poincare_polynomial"
+            "compare_dimensions", "dimension_table", "poincare_polynomial"
         }),
         CLI,
+    ),
+    # Each command makes one public library call and formats what it returns;
+    # a private name of a computing module would be a piece of a computation
+    # done in the command line.  ``exactalg._all_int``, the package's one int
+    # check, and ``_record`` are not computations.
+    "private_library_names": Rule(
+        "test_cli_takes_no_private_name_from_a_computing_module",
+        partial(private_names, {"classifier", "lefschetz", "sl2rep", "symcurve"}), CLI,
     ),
     # ``exactalg`` decides what an exact int is, in ``_require_int`` and
     # ``_exact``; a second spelling of that rule elsewhere could drift from it.
@@ -580,8 +601,9 @@ SNIPPETS = {
          False),
     ],
     "symcurve_beyond_rows": [
-        ("rows", "from .symcurve import _poincare_rows, compare_dimensions", False),
-        ("compare", "from .symcurve import _compare", False),
+        ("rows", "from .symcurve import _poincare_rows, compare_dimensions", True),
+        ("compare", "from .symcurve import _compare", True),
+        ("table", "from .symcurve import dimension_table, compare_dimensions", False),
         ("alias", "from multiproj.symcurve import poincare_polynomial as pp", False),
         ("other-module", "from .exactalg import binom", False),
         ("closed-form",
@@ -592,6 +614,18 @@ SNIPPETS = {
         ("star", "from .symcurve import *", True),
         ("module", "from . import symcurve", True),
         ("import-module", "import multiproj.symcurve", True),
+    ],
+    "private_library_names": [
+        ("rows", "from .symcurve import _poincare_rows", True),
+        ("aliased", "from multiproj.lefschetz import _x_kernel_dims as kernels", True),
+        ("among-public", "from .sl2rep import Character, _peel_q_integers", True),
+        ("classifier", "from .classifier import _TOKEN_SPLIT", True),
+        ("attribute", "dims = symcurve._compare(g, n, total)", True),
+        ("public", "from .symcurve import dimension_table, poincare_polynomial", False),
+        ("int-check", "from .exactalg import LaurentPoly, _all_int", False),
+        ("record", "from ._record import Record, _set", False),
+        ("own-name", "raise _UsageError(message)", False),
+        ("string", "text = '_poincare_rows'", False),
     ],
     "int_checks": [
         ("loop", "if not isinstance(v, int) or isinstance(v, bool):\n    pass", True),

@@ -16,6 +16,7 @@ from multiproj.symcurve import (
     betti_closed,
     compare_dimensions,
     dim_sym_of_cohomology,
+    dimension_table,
     genus_obstruction_report,
     poincare_genus_zero,
     poincare_polynomial,
@@ -390,3 +391,37 @@ def test_checks_arguments_once(monkeypatch, fn, args):
     monkeypatch.setattr(symcurve, "_require_int", counted)
     fn(*args)
     assert len(calls) == 1, calls
+
+
+class TestDimensionTable:
+    def test_cells_are_the_public_results(self):
+        cells = list(dimension_table(range(6), range(1, 16)))
+        assert cells == [
+            (poincare_polynomial(g, n), compare_dimensions(g, n))
+            for g in range(6) for n in range(1, 16)
+        ]
+
+    def test_one_expansion_per_genus(self, monkeypatch):
+        calls, series_rows = [], symcurve._series_rows
+
+        def counted(g, n):
+            calls.append((g, n))
+            return series_rows(g, n)
+
+        monkeypatch.setattr(symcurve, "_series_rows", counted)
+        list(dimension_table(range(0, 4), range(2, 9)))
+        assert calls == [(1, 8), (2, 8), (3, 8)]  # genus 0 takes no series
+
+    @pytest.mark.parametrize("genera,ns,message", [
+        (range(-1, 2), range(1, 3), "genus must be >= 0, got -1"),
+        (range(0, 2), range(0, 3), "n must be >= 1, got 0"),
+        (range(3, 1), range(1, 3), "empty genus range range(3, 1)"),
+        (range(0, 2), range(1, 1), "empty n range range(1, 1)"),
+        (range(0, 4, 2), range(1, 3), "genus range range(0, 4, 2) must have step 1"),
+        (range(0, 2), range(5, 1, -1), "n range range(5, 1, -1) must have step 1"),
+    ], ids=["negative-genus", "n-zero", "empty-genera", "empty-ns", "genus-step",
+            "n-step"])
+    def test_refusals_when_called(self, genera, ns, message):
+        with pytest.raises(ValueError) as info:
+            dimension_table(genera, ns)
+        assert str(info.value) == message
