@@ -16,8 +16,8 @@ in lefschetz-check, after its report) or a failed write to stdout (a closed
 pipe, a full disk, a closed stdout); 2 = usage or parse error.  Each error,
 argparse's too, is one ``error: ...`` line on stderr of at most 200 bytes of
 UTF-8 (``_cut`` keeps a longer message's start and end around ``...``, and
-splits no character), and ``main`` alone returns the exit code (only
-``--help`` raises ``SystemExit``).  Requests over a size limit are usage
+splits no character), and ``main`` alone returns the exit code; ``--help``
+is written like a command's output.  Requests over a size limit are usage
 errors, each sized by what it would print:
 
 * ``table``: more than 10^4 cells;
@@ -30,18 +30,13 @@ errors, each sized by what it would print:
 * ``classify`` (of two equal dimensions) and ``factor``: a character of top
   degree over 2000 (4001 dense coefficients; for ``factor --char`` the
   largest |exponent|, checked before the character is built);
-* ``lefschetz-check``: a module of dimension over 200000;
 * ``factor --roundtrip``: a bound beyond 25.
 
 Every number betti, dims and table print is at most dim Sym^n(H*(C)) =
 C(2g+n+1, n) (the dims comparison), so the digit limits are checked on the
-digits of that binomial, and on 2n + 1 times them for a row.
-
-The lefschetz-check limit bounds memory.  The module is built in one pass and
-its brackets checked one row at a time, so its own X and Y set the peak: 1.0
-to 1.4 KB of RSS per basis vector for six to seventeen factors, in any order
-(CPython 3.11: 122 MB at 6^6, 190 MB at 1^17, 243 MB at 4^5 1^6, dimension
-200000, the limit, which stays: a ceiling near 0.25 GB is worth keeping).
+digits of that binomial, and on 2n + 1 times them for a row.  The digit rule
+itself is ``exactalg``'s.  ``lefschetz-check`` reports the refusal of a
+module over ``lefschetz``'s dimension guard as a usage error too.
 """
 
 from __future__ import annotations
@@ -52,11 +47,11 @@ import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain
-from math import comb, prod
+from math import comb
 
 from ._record import Record, _set
 from .classifier import Partition, classify, cohomology_character, parse_partition
-from .exactalg import LaurentPoly, _all_int
+from .exactalg import _DIGIT_LIMIT, LaurentPoly, _all_int, _over_digits, _shown
 from .lefschetz import lefschetz_check
 from .sl2rep import Character, FactorizationError, factor_tensor_of_irreps, verify_roundtrip
 from .symcurve import compare_dimensions, dimension_table, poincare_polynomial
@@ -70,11 +65,18 @@ class _CheckFailed(Exception):
     """A library report names a failed check: reported on stderr, exit 1."""
 
 
+class _Help(Exception):
+    """A ``--help`` request, whose text ``main`` writes as a command's output."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """An argparse parser that raises its errors instead of exiting."""
+    """An argparse parser that raises its errors and its help instead of exiting."""
 
     def error(self, message: str):
         raise _UsageError(message)
+
+    def print_help(self, file=None):
+        raise _Help(self.format_help().removesuffix("\n"))
 
 
 def _parse_range(text: str, what: str, minimum: int) -> range:
@@ -183,17 +185,6 @@ def _check_degree(top: int) -> None:
 
 _ROW_LIMIT = 4001
 _ROW_DIGIT_LIMIT = 100_000
-_DIGIT_LIMIT = 4000
-
-
-def _over_digits(v: int, digits: int) -> bool:
-    """Whether v >= 0 has more than ``digits`` digits; v < 2^(3 digits) has not."""
-    return v.bit_length() > 3 * digits and v >= 10**digits
-
-
-def _shown(v: int) -> str:
-    """v >= 0 as a refusal message prints it: past the digit limit, ``over 10^4000``."""
-    return f"over 10^{_DIGIT_LIMIT}" if _over_digits(v, _DIGIT_LIMIT) else str(v)
 
 
 def _more_digits(g: int, n: int, digits: int) -> bool:
@@ -326,9 +317,6 @@ def _cmd_factor(args: argparse.Namespace) -> None:
 # -------------------------------------------------------- lefschetz-check
 
 
-_MODULE_DIM_LIMIT = 200_000
-
-
 def _cmd_lefschetz_check(args: argparse.Namespace) -> None:
     if args.partition is not None:
         parts = _partition(args.partition).parts
@@ -336,13 +324,10 @@ def _cmd_lefschetz_check(args: argparse.Namespace) -> None:
         raise _UsageError(f"dimension must be nonnegative, got {args.n}")
     else:
         parts = (args.n,)
-    dim = prod(k + 1 for k in parts)
-    if dim > _MODULE_DIM_LIMIT:
-        raise _UsageError(
-            f"module of dimension {_shown(dim)} exceeds the "
-            f"{_MODULE_DIM_LIMIT}-dimension guard"
-        )
-    report = lefschetz_check(parts)
+    try:
+        report = lefschetz_check(parts)  # refuses a module over its dimension guard
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     doc = report.to_json_dict()
     lines = [f"{c['relation']}: {'pass' if c['pass'] else 'FAIL'}" for c in doc["checks"]]
     lines.append(f"character: {doc['character']}")
@@ -478,7 +463,11 @@ def _cut(message: str) -> str:  # "error: " + 192 bytes + "\n" = 200 bytes
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        try:
+            args = _build_parser().parse_args(argv)
+        except _Help as exc:
+            _emit(argparse.Namespace(format="table", quiet=False), (), (), str(exc))
+            return 0
         args.handler(args)
         return 0
     except (_UsageError, FactorizationError, _CheckFailed) as exc:

@@ -11,9 +11,12 @@ floating point anywhere.  One value type lives here:
 
 Its values are immutable after construction and every operation is a pure
 function, so they can be shared freely across threads.  Next to it are
-``binom`` and the package's checks of exact numbers: ``_require_int``, the one
+``binom``, the package's checks of exact numbers (``_require_int``, the one
 int check, and ``_exact``, the one int/``Fraction`` check, which imports
-``fractions`` only for a value that is not an int.
+``fractions`` only for a value that is not an int) and its digit rule:
+``_over_digits`` alone decides whether an int has more than a number of
+digits, and ``_shown`` writes a size into a refusal, as ``over 10^4000``
+past ``_DIGIT_LIMIT`` digits (Python's int-to-str conversion stops at 4300).
 """
 
 from __future__ import annotations
@@ -72,6 +75,19 @@ def binom(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
+
+
+_DIGIT_LIMIT = 4000
+
+
+def _over_digits(v: int, digits: int) -> bool:
+    """Whether v >= 0 has more than ``digits`` digits; v < 2^(3 digits) has not."""
+    return v.bit_length() > 3 * digits and v >= 10**digits
+
+
+def _shown(v: int) -> str:
+    """v >= 0 as a refusal message prints it: past the digit limit, ``over 10^4000``."""
+    return f"over 10^{_DIGIT_LIMIT}" if _over_digits(v, _DIGIT_LIMIT) else str(v)
 
 
 class LaurentPoly:

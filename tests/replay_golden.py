@@ -32,10 +32,7 @@ def run(argv):
     """``cli.main(argv)`` in-process: exit code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = cli.main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
+        code = cli.main(list(argv))
     return {"argv": list(argv), "exit": code,
             "stdout": out.getvalue(), "stderr": err.getvalue()}
 

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from jsonschema import validate
 
-from multiproj import cli, lefschetz, sl2rep
+from multiproj import cli, exactalg, lefschetz, sl2rep
 from multiproj.sl2rep import IrrepMultiset
 from multiproj.symcurve import total_dim_cohomology
 
@@ -488,8 +488,10 @@ def test_widest_json_table_finishes(tmp_path):
 
 # A write to stdout that fails (a reader that closed the pipe, a closed
 # stdout, a full disk) ends in one error line and exit 1, not a traceback,
-# and what was written before it stays written.
+# and what was written before it stays written.  ``--help`` is written like
+# a command's output, so its failed write ends the same way.
 TABLE = ["table", "--genus", "0..3", "--n", "1..300", "--format"]
+HELPS = [["--help"], ["table", "--help"]]
 FIRST_LINE = {"csv": b"g,n,betti,total_dim,sym_dim,relation\n", "json": b"[\n"}
 
 
@@ -514,16 +516,17 @@ def test_closed_pipe_is_one_error_line(fmt):
     assert one_error_line(proc) == "error: cannot write output: Broken pipe\n"
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_closed_stdout_is_one_error_line(fmt):
-    proc = multiproj([*TABLE, fmt], preexec_fn=lambda: os.close(1))
+@pytest.mark.parametrize("argv", [[*TABLE, "csv"], [*TABLE, "json"], *HELPS],
+                         ids=["csv", "json", "help", "table-help"])
+def test_closed_stdout_is_one_error_line(argv):
+    proc = multiproj(argv, preexec_fn=lambda: os.close(1))
     assert one_error_line(proc) == "error: cannot write output: stdout is closed\n"
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("argv", [[*TABLE, "csv"], [*TABLE, "json"],
-                                  ["betti", "--genus", "1", "--n", "2"]],
-                         ids=["csv", "json", "betti"])
+                                  ["betti", "--genus", "1", "--n", "2"], *HELPS],
+                         ids=["csv", "json", "betti", "help", "table-help"])
 def test_full_disk_is_one_error_line(argv):
     with open("/dev/full", "wb") as full:
         proc = multiproj(argv, stdout=full)
@@ -694,14 +697,15 @@ def test_zero_character_is_a_domain_error():
     )
 
 
+# Each limit is read from the module that owns it.
 def test_limits_are_the_documented_ones():
     assert (
         cli._TABLE_CELL_LIMIT,
-        cli._MODULE_DIM_LIMIT,
+        lefschetz._MODULE_DIM_LIMIT,
         cli._ROUNDTRIP_LIMIT,
         cli._ROW_LIMIT,
         cli._ROW_DIGIT_LIMIT,
-        cli._DIGIT_LIMIT,
+        exactalg._DIGIT_LIMIT,
         cli._CHARACTER_DEGREE_LIMIT,
     ) == (10_000, 200_000, 25, 4001, 100_000, 4000, 2000)
 
@@ -725,6 +729,11 @@ def test_digit_bound_decides_as_the_power_of_ten():
 
 # Each limit lowered to the size of a cheap request: at the limit the request
 # is answered, one below it (the request one past the limit) it is refused.
+# The module-dimension guard is lefschetz's; the digit limit is patched where
+# the command line reads it.
+OWNER = {"_MODULE_DIM_LIMIT": lefschetz}
+
+
 @pytest.mark.parametrize(
     "name,limit,args",
     [
@@ -748,10 +757,11 @@ def test_digit_bound_decides_as_the_power_of_ten():
     ],
 )
 def test_limit_boundary(monkeypatch, capsys, name, limit, args):
-    monkeypatch.setattr(cli, name, limit)
+    owner = OWNER.get(name, cli)
+    monkeypatch.setattr(owner, name, limit)
     assert cli.main([*args, "--quiet"]) == 0
     assert capsys.readouterr().err == ""
-    monkeypatch.setattr(cli, name, limit - 1)
+    monkeypatch.setattr(owner, name, limit - 1)
     assert cli.main(list(args)) == 2
     out, err = capsys.readouterr()
     assert out == ""

@@ -7,6 +7,7 @@ import pstats
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from functools import reduce
@@ -998,3 +999,60 @@ class TestLefschetzCheck:
     def test_refuses_no_factors(self):
         with pytest.raises(ValueError, match="at least one factor"):
             lefschetz_check(())
+
+
+def traced_refusal(build, *args):
+    """The refusal of ``build(*args)`` and the peak traced memory it took."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            build(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return str(info.value), peak
+
+
+# Every entry point that builds a module refuses one of dimension over 200000
+# before any row or factor of it is built, in the command line's words.
+class TestDimensionGuard:
+    def test_single_factor_at_the_guard_builds(self):
+        assert build_cohomology_module(199999).dim == 200_000
+
+    def test_single_factor_past_the_guard_refused(self):
+        message, peak = traced_refusal(build_cohomology_module, 200_000)
+        assert message == "module of dimension 200001 exceeds the 200000-dimension guard"
+        assert peak < 64_000  # the 200001 weights alone would take 6 MB
+
+    def test_product_past_the_guard_refused_before_any_row(self):
+        message, peak = traced_refusal(tensor_modules, *[build_cohomology_module(1)] * 18)
+        assert message == "module of dimension 262144 exceeds the 200000-dimension guard"
+        assert peak < 64_000  # 2^18 rows would take tens of MB
+
+    def test_product_at_the_guard_builds(self, monkeypatch):
+        monkeypatch.setattr(lefschetz, "_MODULE_DIM_LIMIT", 8)
+        assert tensor_modules(*[build_cohomology_module(1)] * 3).dim == 8
+        monkeypatch.setattr(lefschetz, "_MODULE_DIM_LIMIT", 7)
+        with pytest.raises(ValueError, match="^module of dimension 8 exceeds the 7-dimension"):
+            tensor_modules(*[build_cohomology_module(1)] * 3)
+
+    def test_one_factor_is_not_refused(self, monkeypatch):
+        m = build_cohomology_module(3)
+        monkeypatch.setattr(lefschetz, "_MODULE_DIM_LIMIT", 1)
+        assert tensor_modules(m) is m
+
+    def test_check_refuses_a_huge_product_before_any_factor(self, monkeypatch):
+        monkeypatch.setattr(lefschetz, "build_cohomology_module", None)  # never called
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            lefschetz_check((1,) * 15000)  # dimension 2^15000, of 4516 digits
+        assert time.perf_counter() - start < 1
+        assert str(info.value) == (
+            "module of dimension over 10^4000 exceeds the 200000-dimension guard"
+        )
+
+    def test_check_asks_each_part_before_the_guard(self):
+        with pytest.raises(TypeError, match="projective space dimension must be int"):
+            lefschetz_check((1, "2"))
+        with pytest.raises(ValueError, match="must be nonnegative, got -2"):
+            lefschetz_check((-2, -300_000))

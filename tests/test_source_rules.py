@@ -365,11 +365,11 @@ RULES = {
         "test_only_exactalg_checks_ints", int_checks,
         [p for p in SOURCES if p.name != "exactalg.py"],
     ),
-    # The command line sizes what it prints by digits, and ``_over_digits``
+    # Sizes are checked and shown by digits, and ``exactalg._over_digits``
     # alone decides whether a number has more digits than a limit; a second
-    # power of ten would be a second copy of that rule.
+    # power of ten, in any module, would be a second copy of that rule.
     "powers_of_ten": Rule(
-        "test_only_the_digit_helper_forms_a_power_of_ten", powers_of_ten, CLI,
+        "test_only_the_digit_helper_forms_a_power_of_ten", powers_of_ten, SOURCES,
         exempt="_over_digits",
     ),
     # Methods deleted because only the tests read them stay deleted.
