@@ -272,6 +272,7 @@ class Rule(NamedTuple):
     files: Path | list  # one module, or a list of them
     inside: str | None = None  # the one function the rule scans
     exempt: str | None = None  # the one function it skips
+    one_test: bool = False  # scan a list of modules in one unparametrized test
 
 
 RULES = {
@@ -370,7 +371,7 @@ RULES = {
     # power of ten, in any module, would be a second copy of that rule.
     "powers_of_ten": Rule(
         "test_only_the_digit_helper_forms_a_power_of_ten", powers_of_ten, SOURCES,
-        exempt="_over_digits",
+        exempt="_over_digits", one_test=True,
     ),
     # Methods deleted because only the tests read them stay deleted.
     "test_only_methods": Rule(
@@ -692,6 +693,10 @@ def rule_tests(rule):
     if isinstance(r.files, Path):  # one module: the test takes no parameter
         def clean():
             assert flags(rule, parse(r.files)) == []
+    elif r.one_test:  # a rule that once scanned one module keeps its one test
+        def clean():
+            found = {p.name: lines for p in r.files if (lines := flags(rule, parse(p)))}
+            assert found == {}, rule
     else:
         @pytest.mark.parametrize("path", r.files, ids=lambda p: p.name)
         def clean(path):
