@@ -20,11 +20,10 @@ import re
 import sys
 from collections.abc import Iterable, Sequence
 
-from ._record import Record, _set
+from ._record import Record
 from .exactalg import _exact, _require_int
 from .sl2rep import (
     Character,
-    IrrepMultiset,
     _peel_q_integers,
     tensor_irreps_character,
 )
@@ -43,7 +42,7 @@ class Partition(Record):
         _require_int("partition parts", parts)
         if any(p < 1 for p in parts):
             raise ValueError(f"all parts must be positive, got {parts}")
-        _set(self, "parts", tuple(sorted(parts, reverse=True)))
+        super().__init__(tuple(sorted(parts, reverse=True)))
 
     @property
     def n(self) -> int:
@@ -114,26 +113,7 @@ class ClassificationVerdict(Record):
 
     __slots__ = ("verdict", "reason", "partition1", "partition2", "character1",
                  "character2", "factorization1", "factorization2")
-
-    def __init__(
-        self,
-        verdict: Verdict,
-        reason: Reason,
-        partition1: Partition,
-        partition2: Partition,
-        character1: Character | None = None,
-        character2: Character | None = None,
-        factorization1: IrrepMultiset | None = None,
-        factorization2: IrrepMultiset | None = None,
-    ):
-        _set(self, "verdict", verdict)
-        _set(self, "reason", reason)
-        _set(self, "partition1", partition1)
-        _set(self, "partition2", partition2)
-        _set(self, "character1", character1)
-        _set(self, "character2", character2)
-        _set(self, "factorization1", factorization1)
-        _set(self, "factorization2", factorization2)
+    _defaults = (None, None, None, None)
 
     def to_json_dict(self) -> dict:
         return {
@@ -186,16 +166,7 @@ def classify(p1: Partition, p2: Partition) -> ClassificationVerdict:
         verdict, reason = Verdict.ISOMORPHIC, Reason.SAME_PARTITION
     else:
         verdict, reason = Verdict.NON_ISOMORPHIC, Reason.DISTINCT_CHARACTERS
-    return ClassificationVerdict(
-        verdict=verdict,
-        reason=reason,
-        partition1=p1,
-        partition2=p2,
-        character1=c1,
-        character2=c2,
-        factorization1=f1,
-        factorization2=f2,
-    )
+    return ClassificationVerdict(verdict, reason, p1, p2, c1, c2, f1, f2)
 
 
 def poincare_of_multiprojective(p: Partition) -> PoincarePolynomial:

@@ -45,11 +45,11 @@ import argparse
 import errno
 import os
 import sys
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
 from math import comb
 
-from ._record import Record, _set
+from ._record import Record
 from .classifier import Partition, classify, cohomology_character, parse_partition
 from .exactalg import _DIGIT_LIMIT, LaurentPoly, _all_int, _over_digits, _shown
 from .lefschetz import lefschetz_check
@@ -371,27 +371,13 @@ def _cmd_table(args: argparse.Namespace) -> None:
 class _Command(Record):
     """A subcommand; each argument is a name or flag and its add_argument keywords.
 
+    ``exclusive`` holds the arguments of a required mutually exclusive group.
     ``usage``, if given, is the usage text, which then reads the same under
     every argparse (3.13's wraps a long usage line at another place).
     """
 
     __slots__ = ("name", "handler", "help", "arguments", "exclusive", "usage")
-
-    def __init__(
-        self,
-        name: str,
-        handler: Callable[[argparse.Namespace], None],
-        help: str,
-        arguments: Sequence[tuple[str, dict]] = (),
-        exclusive: Sequence[tuple[str, dict]] = (),  # a required mutually exclusive group
-        usage: str | None = None,
-    ):
-        _set(self, "name", name)
-        _set(self, "handler", handler)
-        _set(self, "help", help)
-        _set(self, "arguments", arguments)
-        _set(self, "exclusive", exclusive)
-        _set(self, "usage", usage)
+    _defaults = ((), (), None)
 
 
 _INT = {"type": int, "required": True}

@@ -45,7 +45,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from itertools import accumulate, chain, product, repeat
 from operator import mul
 
-from ._record import Record, _set
+from ._record import Record
 from .exactalg import LaurentPoly, _exact, _require_int, _shown
 from .sl2rep import Character, tensor_irreps_character
 
@@ -174,8 +174,8 @@ class Sl2MatrixModule(Record):
 
     __slots__ = ("X", "Y", "basis_weights")
 
-    def __init__(self, X: RatMatrix, Y: RatMatrix, basis_weights: tuple[int, ...]):
-        w = basis_weights
+    def __init__(self, X: RatMatrix, Y: RatMatrix, basis_weights: Iterable[int]):
+        w = tuple(basis_weights)  # checked, then stored: a list is not kept by reference
         d = len(w)
         if not d:
             raise ValueError("a module needs at least one basis weight")
@@ -193,9 +193,7 @@ class Sl2MatrixModule(Record):
                             f"{name}[{i},{j}] nonzero but weights "
                             f"{w[i]} != {w[j]} {shift:+d}"
                         )
-        _set(self, "X", X)
-        _set(self, "Y", Y)
-        _set(self, "basis_weights", w)
+        super().__init__(X, Y, w)
 
     @property
     def dim(self) -> int:
@@ -246,11 +244,6 @@ class RelationCheck(Record):
 
     __slots__ = ("relation", "passed", "max_abs_discrepancy_numerator")
 
-    def __init__(self, relation: str, passed: bool, max_abs_discrepancy_numerator: int):
-        _set(self, "relation", relation)
-        _set(self, "passed", passed)
-        _set(self, "max_abs_discrepancy_numerator", max_abs_discrepancy_numerator)
-
     def to_json_dict(self) -> dict:
         return {
             "relation": self.relation,
@@ -261,9 +254,6 @@ class RelationCheck(Record):
 
 class BracketReport(Record):
     __slots__ = ("checks",)
-
-    def __init__(self, checks: tuple[RelationCheck, ...]):
-        _set(self, "checks", checks)
 
     @property
     def all_pass(self) -> bool:
@@ -433,22 +423,6 @@ class LefschetzReport(Record):
 
     __slots__ = ("parts", "dim", "brackets", "character", "character_matches",
                  "irreducible")
-
-    def __init__(
-        self,
-        parts: tuple[int, ...],
-        dim: int,
-        brackets: BracketReport,
-        character: Character,
-        character_matches: bool,
-        irreducible: bool,
-    ):
-        _set(self, "parts", parts)
-        _set(self, "dim", dim)
-        _set(self, "brackets", brackets)
-        _set(self, "character", character)
-        _set(self, "character_matches", character_matches)
-        _set(self, "irreducible", irreducible)
 
     @property
     def expected_irreducible(self) -> bool:

@@ -25,7 +25,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from itertools import accumulate, groupby
 from operator import sub
 
-from ._record import Record, _set
+from ._record import Record
 from .exactalg import LaurentPoly, _require_int
 
 
@@ -148,7 +148,7 @@ class IrrepMultiset(Record):
     __slots__ = ("labels",)
 
     def __init__(self, labels: Iterable[int]):
-        _set(self, "labels", tuple(sorted(_labels(labels), reverse=True)))
+        super().__init__(tuple(sorted(_labels(labels), reverse=True)))
 
     def counts(self) -> list[tuple[int, int]]:
         """(label, multiplicity) pairs, labels descending."""

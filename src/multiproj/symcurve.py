@@ -29,7 +29,7 @@ from collections.abc import Iterable, Iterator
 from itertools import chain, count, islice
 from operator import add
 
-from ._record import Record, _set
+from ._record import Record
 from .exactalg import _require_int, binom
 
 
@@ -58,8 +58,7 @@ class PoincarePolynomial(Record):
         if b != b[::-1]:
             r = next(r for r in count() if b[r] != b[m - r])
             raise ValueError(f"duality violated: B_{r} = {b[r]} but B_{m - r} = {b[m - r]}")
-        _set(self, "betti", b)
-        _set(self, "n", n)
+        super().__init__(b, n)
 
     def total(self) -> int:
         """Total dimension of cohomology (sum of all Betti numbers)."""
@@ -91,15 +90,6 @@ class DimensionComparison(Record):
     """dim H*(Sym^n C) vs dim Sym^n(H*(C)), with the comparison spelled out."""
 
     __slots__ = ("g", "n", "total_dim", "sym_dim", "relation")
-
-    def __init__(
-        self, g: int, n: int, total_dim: int, sym_dim: int, relation: DimRelation
-    ):
-        _set(self, "g", g)
-        _set(self, "n", n)
-        _set(self, "total_dim", total_dim)
-        _set(self, "sym_dim", sym_dim)
-        _set(self, "relation", relation)
 
 
 def _check_genus(g: int) -> None:
@@ -242,7 +232,7 @@ def _compare(g: int, n: int, total: int) -> DimensionComparison:
         rel = DimRelation.STRICTLY_LESS
     else:
         rel = DimRelation.STRICTLY_GREATER
-    return DimensionComparison(g=g, n=n, total_dim=total, sym_dim=sym, relation=rel)
+    return DimensionComparison(g, n, total, sym, rel)
 
 
 def compare_dimensions(g: int, n: int) -> DimensionComparison:

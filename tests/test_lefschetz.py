@@ -463,6 +463,17 @@ class TestStructuralValidation:
         with pytest.raises(ValueError, match=message):
             Sl2MatrixModule(X=bad_x, Y=z, basis_weights=(1, -1))
 
+    def test_weights_are_read_once_into_a_tuple(self):
+        # the weights passed the shift check, so a later change to the list
+        # they came from must not reach the module
+        m = build_cohomology_module(1)
+        weights = [1, -1]
+        s = Sl2MatrixModule(m.X, m.Y, weights)
+        weights[0] = 5
+        assert s.basis_weights == (1, -1) and s == m
+        assert verify_brackets(s).all_pass
+        assert Sl2MatrixModule(m.X, m.Y, (w for w in (1, -1))) == m
+
 
 class TestBrackets:
     def test_n7_all_pass(self):

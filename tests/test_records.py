@@ -232,6 +232,45 @@ def test_positional_and_keyword_construction(record):
         assert oracle(cls(*short)) == ORACLES[cls](*short)
 
 
+def calls(cls):
+    """Calls, as (args, kwargs), on the fields of a sample of ``cls``: the
+    ``REFUSED`` ones a function with the oracle's parameters refuses, and two
+    it takes."""
+    fields = values(next(r for _, r in SAMPLES if type(r) is cls))
+    names = cls.__slots__
+    required = sum(f.default is dataclasses.MISSING for f in dataclasses.fields(ORACLES[cls]))
+    return {
+        "missing": (fields[: required - 1], {}),
+        "extra": ((*fields, None), {}),
+        "unknown": (fields, {"other": None}),
+        "repeated": (fields, {names[-1]: fields[-1]}),
+        "missing-first-by-keyword": ((), dict(zip(names[1:required], fields[1:]))),
+        "rest-by-keyword": (fields[:1], dict(zip(names[1:], fields[1:]))),
+        "last-by-keyword": (fields[:-1], {names[-1]: fields[-1]}),
+    }
+
+
+def raised_by(build, args, kwargs):
+    """The type of the exception ``build(*args, **kwargs)`` raises, or None."""
+    try:
+        build(*args, **kwargs)
+    except Exception as exc:
+        return type(exc)
+    return None
+
+
+REFUSED = ("missing", "extra", "unknown", "repeated", "missing-first-by-keyword")
+
+
+@pytest.mark.parametrize("case", [*REFUSED, "rest-by-keyword", "last-by-keyword"])
+@pytest.mark.parametrize("cls", ORACLES, ids=lambda c: c.__name__)
+def test_construction_refusals_match_the_oracle(cls, case):
+    args, kwargs = calls(cls)[case]
+    expected = raised_by(ORACLES[cls], args, kwargs)
+    assert expected is (TypeError if case in REFUSED else None)
+    assert raised_by(cls, args, kwargs) is expected
+
+
 @RECORDS
 def test_weak_references_work_but_not_dataclass_tools(record):
     dc = oracle(record)

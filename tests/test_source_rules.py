@@ -383,6 +383,12 @@ RULES = {
     "dataclasses": Rule(
         "test_no_dataclasses_import", partial(imports_beyond, "dataclasses", ()), SOURCES
     ),
+    # ``Record.__init__`` alone writes a record's fields; a record that checks
+    # them passes the checked values to it, so each field list is written once.
+    "record_fields": Rule(
+        "test_only_record_writes_fields", partial(named, {"_set"}),
+        [p for p in SOURCES if p.name != "_record.py"],
+    ),
 }
 
 
@@ -678,6 +684,15 @@ SNIPPETS = {
         ("aliased-name", "from dataclasses import replace as evolve", True),
         ("record", "from ._record import Record, _set", False),
         ("string", "text = 'dataclasses'", False),
+    ],
+    "record_fields": [
+        ("set", "_set(self, 'parts', parts)", True),
+        ("import", "from ._record import Record, _set", True),
+        ("import-as", "from ._record import _set as write", True),
+        ("attribute", "_record._set(self, 'n', n)", True),
+        ("super", "super().__init__(tuple(sorted(parts, reverse=True)))", False),
+        ("base-import", "from ._record import Record", False),
+        ("string", "text = '_set'", False),
     ],
 }
 
