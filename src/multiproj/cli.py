@@ -3,11 +3,13 @@
 The commands are the entries of ``COMMANDS``, whose help texts say what each
 does.  Each takes ``--format {table,json,csv}`` (default: table) and
 ``--quiet`` (suppress stdout, keep the exit code).  Output is deterministic:
-the same invocation always produces byte-identical stdout.  A handler parses
-its arguments, makes one library call for its result and formats it:
-``classify``, ``poincare_polynomial`` (betti), ``compare_dimensions`` (dims),
-``factor_tensor_of_irreps`` or ``verify_roundtrip`` (factor),
-``lefschetz_check`` and ``dimension_table`` (table).
+the same invocation always produces byte-identical stdout.  A call parses
+with only the subcommand its first argument names (``_build_parser``).  A
+handler parses its arguments, makes one library call for its result and
+formats it: ``classify``, ``poincare_polynomial`` (betti),
+``compare_dimensions`` (dims), ``factor_tensor_of_irreps`` or
+``verify_roundtrip`` (factor), ``lefschetz_check`` and ``dimension_table``
+(table).
 
 Exit codes: 0 = result computed (including NON_ISOMORPHIC verdicts -- the
 answer to a question is not an error); 1 = domain failure (e.g. a character
@@ -414,7 +416,16 @@ COMMANDS = (
 )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser of ``argv``: with only its command's subparser if ``argv[0]``
+    names a command, else with all of them.
+
+    A call runs the one command its first argument names, and building the
+    parser was about 80% of a call when it held all six.  Any other ``argv``
+    (none, ``-h betti``, a global option or an unknown name first) gets every
+    command, so the top-level help and argparse's "invalid choice" line still
+    list them all.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("table", "json", "csv"), default="table",
                         help="output format (default: table)")
@@ -425,7 +436,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Classify multiprojective spaces and compute symmetric-product cohomology.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in COMMANDS:
+    named = [command for command in COMMANDS if argv and command.name == argv[0]]
+    for command in named or COMMANDS:
         p = sub.add_parser(command.name, parents=[common], help=command.help,
                            usage=command.usage)
         p.set_defaults(handler=command.handler)
@@ -448,9 +460,10 @@ def _cut(message: str) -> str:  # "error: " + 192 bytes + "\n" = 200 bytes
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         try:
-            args = _build_parser().parse_args(argv)
+            args = _build_parser(argv).parse_args(argv)
         except _Help as exc:
             _emit(argparse.Namespace(format="table", quiet=False), (), (), str(exc))
             return 0

@@ -27,6 +27,7 @@ from jsonschema import validate
 from multiproj import cli, exactalg, lefschetz, sl2rep
 from multiproj.sl2rep import IrrepMultiset
 from multiproj.symcurve import total_dim_cohomology
+from replay_golden import GOLDEN, load
 
 VERDICT_SCHEMA = {
     "type": "object",
@@ -807,11 +808,16 @@ def unreachable(*args):
         (["dims", "--genus", "-1", "--n", "2"], "genus must be >= 0, got -1"),
         (["table", "--genus", "3..1", "--n", "1"], "empty genus range '3..1'\n"),
         (["table", "--genus", "-1", "--n", "1"], "genus must be >= 0, got -1\n"),
+        (
+            ["--format", "json", "betti", "--genus", "1", "--n", "2"],
+            "argument command: invalid choice: 'json' (choose from 'classify', 'betti', "
+            "'dims', 'factor', 'lefschetz-check', 'table')\n",
+        ),
     ],
     ids=["no-command", "unknown-command", "missing-argument", "non-int",
          "extra-argument", "factor-two-inputs", "lefschetz-both", "lefschetz-neither",
          "betti-negative-genus", "dims-negative-genus", "table-empty-range",
-         "table-negative-genus"],
+         "table-negative-genus", "option-before-command"],
 )
 def test_usage_error_is_one_returned_line(monkeypatch, argv, message):
     for name in ("classify", "poincare_polynomial", "compare_dimensions", "dimension_table",
@@ -916,3 +922,45 @@ def test_readme_lists_every_command():
 def test_every_handler_belongs_to_one_command():
     handlers = sorted(name for name in vars(cli) if name.startswith("_cmd_"))
     assert sorted(command.handler.__name__ for command in cli.COMMANDS) == handlers
+
+
+def subcommands(parser):
+    """The command names of a parser from ``_build_parser``, in order."""
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(action.choices)
+
+
+NAMES = [command.name for command in cli.COMMANDS]
+
+
+# A call builds only the subparser of the command that argv[0] names; any
+# other argv gets every command, in table order, for the top-level help and
+# the "invalid choice" line.
+@pytest.mark.parametrize(
+    "argv,names",
+    [([name, "--help"], [name]) for name in NAMES]
+    + [
+        (["betti", "--genus", "1", "--n", "2"], ["betti"]),
+        ([], NAMES),
+        (["-h", "betti"], NAMES),
+        (["--help", "classify"], NAMES),
+        (["bogus"], NAMES),
+        (["--format", "json", "betti", "--genus", "1", "--n", "2"], NAMES),
+    ],
+)
+def test_parser_holds_only_the_named_command(argv, names):
+    assert subcommands(cli._build_parser(argv)) == names
+
+
+# main() with no argument reads sys.argv[1:] and takes the same one-command path.
+def test_main_reads_sys_argv(monkeypatch):
+    case = load(GOLDEN)[0]
+    built, build = [], cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser",
+                        lambda argv: built.append(subcommands(p := build(argv))) or p)
+    monkeypatch.setattr(sys, "argv", ["multiproj", *case["argv"]])
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main()
+    assert (code, out.getvalue(), err.getvalue()) == (case["exit"], case["stdout"], case["stderr"])
+    assert case["stdout"] and built == [[case["argv"][0]]]

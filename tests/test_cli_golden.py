@@ -4,7 +4,8 @@ The cases are every invocation of acceptance criterion 10 in each format,
 with and without ``--quiet``, plus the usage and domain errors.  Each runs
 ``cli.main`` in-process and must reproduce ``tests/golden/cli.json``.
 ``tests/golden/help.json`` holds the ``--help`` text of ``multiproj`` and of
-each command, at ``COLUMNS=80`` (argparse wraps to the terminal width).
+each command, and that of ``-h`` or ``--help`` before a command's name (the
+top-level help), at ``COLUMNS=80`` (argparse wraps to the terminal width).
 
 ``tests/replay_golden.py`` replays both files, and runs README's library
 example, without pytest, so that any interpreter can check them.  Re-record both files after an intended change
@@ -51,8 +52,11 @@ def invocations():
     yield from ERRORS
 
 
+# The last two put a help flag before a command's name: the top-level help,
+# from the parser of every command.
 HELP = [["--help"]] + [[name, "--help"] for name in (
-    "classify", "betti", "dims", "factor", "lefschetz-check", "table")]
+    "classify", "betti", "dims", "factor", "lefschetz-check", "table")] + [
+    ["-h", "betti"], ["--help", "classify"]]
 
 
 CASES, HELP_CASES = load(GOLDEN), load(HELP_GOLDEN)
